@@ -25,13 +25,14 @@ nothing may be dropped and the dom0 path is never entered. The
   pending softirqs, every queue shard empty. Anything the twin still
   holds is *accounted* (parked batches, frozen tx, deferred irqs), not
   in flight.
-* **swap** — replace the binary via :meth:`reload_hyp_driver` (the
-  CodeRegistry epoch bumps on unregister *and* register, so every JIT
-  superblock compiled against the old program is invalidated), zero the
-  ``__svm_anchorK`` elision anchor slots, flush the stlb and the
-  indirect-call translation cache. For a re-homing handover this phase
-  instead detaches the guest's :class:`TwinQueue` state from the source
-  twin and adopts it on the target.
+* **swap** — replace the binary via the twin's ``reload_hyp_driver``,
+  the routine recovery reloads through too, with its one reset list:
+  the CodeRegistry epoch bumps on unregister *and* register (so every
+  JIT superblock compiled against the old program is invalidated), the
+  ``__svm_anchorK`` elision anchor slots are zeroed, and the stlb and
+  the indirect-call translation cache are flushed. For a re-homing
+  handover this phase instead detaches the guest's :class:`TwinQueue`
+  state from the source twin and adopts it on the target.
 * **replay** — unfreeze, unmask the NIC lines (latched causes fire
   immediately and their masked-for latency is observed into the
   ``health.virq_defer_cycles`` histogram — the honest p99-blip metric
@@ -206,20 +207,16 @@ class HandoverManager:
             return report
 
         # re-verify BEFORE any disruption: a bad binary vetoes the
-        # handover with the old instance untouched. Under elision the
-        # pre-elision binary is what gets proved, exactly as recovery
-        # does (the transform is a pure function of the proofs).
-        from ..analysis.verifier import verify_program
-        verify_report = verify_program(
-            twin.rewritten, annotations=twin.rewrite_stats.annotations,
-            protect_stack=twin.protect_stack,
-            name=f"{twin.instance_name}:handover")
-        if not verify_report.ok:
+        # handover with the old instance untouched
+        from ..analysis.report import VerificationError
+        try:
+            verify_report = twin.reverify("handover")
+        except VerificationError as exc:
             self._c["veto"].value += 1
             self._finish(report)
             raise HandoverVetoed(
                 "replacement binary failed re-verification; "
-                "old instance left untouched")
+                "old instance left untouched") from exc
 
         return self._run_window(report, twin,
                                 swap=lambda: self._do_swap(
@@ -227,15 +224,9 @@ class HandoverManager:
 
     def _do_swap(self, report: HandoverReport, verify_report,
                  mid_window_hook: Optional[Callable[[], None]]):
-        twin = self.twin
         report.epoch_before = self.machine.code.epoch
-        # unregister + register both bump the epoch: every JIT superblock
-        # compiled against the old program is invalidated
-        twin.reload_hyp_driver(verify_report=verify_report)
+        self.twin.reload_hyp_driver(verify_report)
         report.epoch_after = self.machine.code.epoch
-        twin.reset_anchor_slots()
-        twin.svm.flush()
-        twin.hyp_runtime.call_xlate_cache.clear()
         if mid_window_hook is not None:
             mid_window_hook()
 

@@ -59,9 +59,9 @@ class SkbPool:
         self.all_buffers: set = set()
         self.capacity = 0
         self.underflows = 0
-        #: releases of a buffer already on the free list — the degraded
-        #: path and recovery reclaim can both free the same skb; the pool
-        #: absorbs the duplicate instead of corrupting its balance.
+        #: releases of a buffer already on the free list: absorbed instead
+        #: of corrupting the pool's balance, and counted so a buffer freed
+        #: twice is visible (tests and benchmarks assert it stays 0).
         self.double_releases = 0
         self._install_release_hook(dom0_kernel)
         self.grow(size)
@@ -106,16 +106,18 @@ class SkbPool:
         self.free.append(skb_addr)
         self._free_set.add(skb_addr)
 
-    def reclaim_outstanding(self) -> int:
-        """Return every driver-held buffer to the free list (the faulted
-        instance will never release them itself). Returns the count."""
-        count = len(self.outstanding)
-        for addr in sorted(self.outstanding):
+    def reclaim_outstanding(self, keep) -> int:
+        """Return every driver-held buffer not in ``keep`` to the free
+        list (the faulted instance will never release them itself).
+        Buffers in ``keep`` stay outstanding for their owner to release.
+        Returns the count reclaimed."""
+        reclaimed = sorted(self.outstanding - set(keep))
+        for addr in reclaimed:
+            self.outstanding.discard(addr)
             if addr not in self._free_set:
                 self.free.append(addr)
                 self._free_set.add(addr)
-        self.outstanding.clear()
-        return count
+        return len(reclaimed)
 
     @property
     def available(self) -> int:

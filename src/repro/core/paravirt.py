@@ -142,11 +142,6 @@ class ParavirtNetDevice:
 
     # -- receive ------------------------------------------------------------------
 
-    def deliver(self, payload: bytes):
-        """Called by the hypervisor after copying a packet into the guest:
-        virtual interrupt + guest stack processing."""
-        self.deliver_batch([payload])
-
     def deliver_batch(self, payloads: List[bytes]):
         """Called by the hypervisor after copying a *batch* of packets
         into the guest under one coalesced virtual interrupt. Guest stack

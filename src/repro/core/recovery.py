@@ -9,23 +9,27 @@ abort a survivable event instead of a simulation-ending crash:
    undeliverable upcall, ...), the faulting hypervisor instance is torn
    down: NIC lines are masked, in-flight upcall frames are unwound,
    dom0 locks the driver held are force-released, pool sk_buffs it was
-   holding are reclaimed, every stlb translation and hypervisor mapping
-   is invalidated, and the indirect-call cache is dropped. A flight
-   recorder keeps the tail of the trace ring from the moment of the
-   abort.
+   holding are reclaimed (except those still posted in a NIC ring, which
+   the instance that consumes the slot releases), every stlb translation
+   and hypervisor mapping is invalidated, and the indirect-call cache is
+   dropped. A flight recorder keeps the tail of the trace ring from the
+   moment of the abort.
 
 2. **Degraded mode** — guest traffic keeps flowing through the
    paravirtualized dom0 path: the fully-functional *VM instance* of the
    same driver (probe/open ran there) drives the NIC from dom0, with
-   the hypervisor copying frames and demultiplexing receives by MAC.
-   This is the classic split-driver data path: slower, but alive.
+   the hypervisor copying frames and demultiplexing receives by MAC
+   into the twin's one rx hand-off (so a virq-masked guest's frames are
+   parked, not delivered). This is the classic split-driver data path:
+   slower, but alive.
 
 3. **Reload** — after a bounded backoff (counted in degraded
-   operations), the rewritten binary is *re-verified* with the PR-1
-   static verifier and reloaded at the same code base through the
-   loader. A reload that faults again shortly after ("relapse") feeds a
-   crash-loop circuit breaker; once the breaker opens the system stays
-   on the degraded path permanently rather than thrashing.
+   operations), the rewritten binary is re-verified and reloaded at the
+   same code base through the twin's ``reverify`` → ``reload_hyp_driver``
+   routine, the one a planned swap uses too. A reload that faults again
+   shortly after ("relapse") feeds a crash-loop circuit breaker; once
+   the breaker opens the system stays on the degraded path permanently
+   rather than thrashing.
 
 Everything is observable: ``recovery.*`` counters in the metrics
 registry, ``recovery.{quarantine,degraded,reload,breaker}`` trace
@@ -197,9 +201,11 @@ class RecoveryManager:
         carried = twin.preserve_parked_batches()
         self._c["parked_carried"].value += carried
         # Drop queued-but-undelivered receives and reclaim every pool
-        # sk_buff the instance was holding.
+        # sk_buff the instance was holding — except those still posted in
+        # a NIC ring: whichever instance consumes the slot releases them.
         twin.drop_rx_backlog()
-        skbs = twin.hyp_support.pool.reclaim_outstanding()
+        skbs = twin.hyp_support.pool.reclaim_outstanding(
+            keep=twin.ring_posted_skbs())
         self._c["skbs_reclaimed"].value += skbs
         # No stale translation survives: stlb table, chains, hypervisor
         # mappings and the indirect-call cache all go.
@@ -282,19 +288,17 @@ class RecoveryManager:
         self._maybe_recover()
 
     def _demux_rx(self, skb_addr: int):
-        """dom0 ``netif_rx`` handler while degraded: deliver hypervisor
-        pool buffers to the owning guest (by destination MAC), everything
-        else to dom0's own stack."""
+        """dom0 ``netif_rx`` handler while degraded: copy the frame out to
+        the owning guest(s) by destination MAC through the twin's rx
+        hand-off; broadcasts and unknown unicast also reach dom0's own
+        stack."""
         twin = self.twin
         kernel = twin.dom0_kernel
         mem = kernel.memory_view()
         skb = SkBuff(mem, skb_addr)
         # eth_type_trans already pulled the header: MAC is at data - 14.
         dst_mac = mem.read_bytes(skb.data - L.ETH_HLEN, L.ETH_ALEN)
-        costs = self.xen.costs
-        pool = twin.hyp_support.pool
-        is_pool = bool(skb.pool)
-        if is_pool and skb.refcnt > 1:
+        if skb.pool and skb.refcnt > 1:
             # A broadcast/multicast batch interrupted mid-drain leaves
             # extra references from deliveries that will never happen
             # (the faulted instance's queues were wiped). On the dom0
@@ -302,38 +306,28 @@ class RecoveryManager:
             # a stale count would make every free a mere decrement and
             # leak the buffer out of the pool forever.
             skb.refcnt = 1
-        if dst_mac[0] & 1:
-            # broadcast/multicast: every guest gets a copy, and dom0's
-            # own stack still sees the frame
-            payload = mem.read_bytes(skb.data, skb.len)
-            for guest in twin.guest_devices:
-                self.xen.charge_xen(costs.copy_cost(len(payload)))
-                self.xen.charge_xen(costs.virq_delivery)
-                guest.deliver(payload)
-            handler = self._saved_rx_handler or kernel._rx_deliver_local
-            handler(skb_addr)
-            if is_pool:
-                pool.release(skb_addr)     # idempotent backstop
-            return
-        guest = twin.guests_by_mac.get(dst_mac)
-        if guest is None:
-            # unknown unicast belongs to dom0's own stack, not to
-            # whichever guest happens to be first
-            handler = self._saved_rx_handler or kernel._rx_deliver_local
-            handler(skb_addr)
-            if is_pool:
-                pool.release(skb_addr)     # idempotent backstop
-            return
-        payload = mem.read_bytes(skb.data, skb.len)
-        self.xen.charge_xen(costs.copy_cost(len(payload)))
-        self.xen.charge_xen(costs.virq_delivery)
-        if is_pool:
-            # pool buffers go back to the pool, not through dom0's
-            # slab bookkeeping
-            pool.release(skb_addr)
+        broadcast = bool(dst_mac[0] & 1)
+        if broadcast:
+            guests = list(twin.guest_devices)
         else:
+            guest = twin.guests_by_mac.get(dst_mac)
+            guests = [guest] if guest is not None else []
+        # dom0's own stack sees broadcasts too, and unknown unicast
+        # belongs to it, not to whichever guest happens to be first
+        to_dom0 = broadcast or not guests
+        payload = mem.read_bytes(skb.data, skb.len)
+        if not to_dom0:
+            # a guest's unicast is done with the skb: pool buffers go
+            # back to the pool, not through dom0's slab bookkeeping
             kernel.free_skb(skb_addr)
-        guest.deliver(payload)
+        for guest in guests:
+            self.xen.charge_xen(self.xen.costs.copy_cost(len(payload)))
+            twin._hand_off(guest, [payload])
+        if to_dom0:
+            # the dom0 handler frees the skb (a pool buffer goes back to
+            # the pool through the refcount trick)
+            handler = self._saved_rx_handler or kernel._rx_deliver_local
+            handler(skb_addr)
 
     # -- reload --------------------------------------------------------------
 
@@ -355,20 +349,7 @@ class RecoveryManager:
             self._tracer.emit(RECOVERY_RELOAD, attempt=self._reload_attempts)
         twin = self.twin
         try:
-            # Re-verify before trusting the binary again (the PR-1 static
-            # verifier; annotated mode cross-checks the rewriter's site
-            # annotations rather than believing them).
-            from ..analysis.verifier import verify_program
-            report = verify_program(
-                twin.rewritten,
-                annotations=twin.rewrite_stats.annotations,
-                protect_stack=twin.protect_stack,
-                name="hyp:reload",
-            )
-            if not report.ok:
-                from ..analysis.report import VerificationError
-                raise VerificationError(report)
-            twin.reload_hyp_driver(verify_report=report)
+            twin.reload_hyp_driver(twin.reverify("reload"))
         except Exception as exc:   # verification or load failure
             self._c["reload_failure"].value += 1
             self._consecutive_relapses += 1

@@ -180,14 +180,8 @@ class TwinDriverManager:
             self.program, protect_stack=protect_stack,
             stlb_entries=stlb_entries)
         # verify-then-load: the hypervisor proves the rewritten binary
-        # safe before trusting it (annotated mode — the rewriter's site
-        # annotations are cross-checked, not believed).
-        self.verify_report = None
-        if verify:
-            from ..analysis.verifier import verify_program
-            self.verify_report = verify_program(
-                self.rewritten, annotations=self.rewrite_stats.annotations,
-                protect_stack=protect_stack)
+        # safe before trusting it
+        self.verify_report = self.reverify("load") if verify else None
         # prove-then-elide: consume the verifier's proofs to drop stlb
         # re-checks on proven sites. ``self.rewritten`` stays pre-elision
         # (it is what recovery re-verifies); ``self.loadable`` is what
@@ -258,21 +252,7 @@ class TwinDriverManager:
             xen, dom0_kernel, self.svm, self, pool_size=pool_size,
             prefix=instance_name,
         )
-        support_bindings = {
-            name: addr for name, addr in self.hyp_support.addresses.items()
-            if name not in self.upcall_routines
-        }
-        loader = HypervisorLoader(xen, self.code_base, self.hyp_alloc,
-                                  stack_base=self.stack_base)
-        self.hyp_driver = loader.load(
-            self.loadable, self.vm_module, self.hyp_runtime,
-            support_bindings, upcall_factory=self.upcalls.make_stub,
-            name=f"{instance_name}:{self.driver_spec.name}",
-            verify=verify, verify_report=self.verify_report,
-            protect_stack=protect_stack,
-            elided_indices=(self.elision.elided_indices
-                            if self.elision is not None else ()),
-        )
+        self._load_hyp_instance(self.verify_report)
 
         # guests & NICs
         self.guest_devices: List[ParavirtNetDevice] = []
@@ -317,9 +297,9 @@ class TwinDriverManager:
         #: un-charged until the guest unmasks (the skbs stay allocated);
         #: list of (guest device, [skb addrs]) in parking order.
         self._parked_batches: List[Tuple[ParavirtNetDevice, List[int]]] = []
-        #: parked batches converted to payload bytes — what survives a
-        #: quarantine (the skbs are reclaimed by the pool, the packets
-        #: are not lost): (guest device, [payload bytes]) in order.
+        #: payload-form batches (already copied and charged) owed to a
+        #: virq-masked guest — carried across a quarantine or re-homing,
+        #: or handed off while masked: (guest device, [payload bytes]).
         self._parked_payloads: List[Tuple[ParavirtNetDevice, List[bytes]]] = []
         #: guest domid -> the installed unmask-hook callable (kept so a
         #: re-homed guest's hook can be removed from its Domain).
@@ -402,6 +382,22 @@ class TwinDriverManager:
         carried = sum(len(p) for _, p in self._parked_payloads)
         return queued + parked + carried
 
+    def ring_posted_skbs(self) -> set:
+        """Skbs the driver has posted to a NIC ring on any attached NIC
+        (``DriverSpec.ring_skb_slots``), read through dom0's address
+        space. Whichever instance consumes a slot releases its skb."""
+        aspace = self.dom0_kernel.domain.aspace
+        posted = set()
+        for ndev_addr in self.netdev_order:
+            adapter = NetDevice(aspace, ndev_addr).priv
+            for array_off, count_off in self.driver_spec.ring_skb_slots:
+                array = aspace.read_u32(adapter + array_off)
+                for i in range(aspace.read_u32(adapter + count_off)):
+                    skb_addr = aspace.read_u32(array + 4 * i)
+                    if skb_addr:
+                        posted.add(skb_addr)
+        return posted
+
     def drop_rx_backlog(self):
         """Discard every queued and parked receive (recovery teardown —
         the skbs are reclaimed wholesale by the pool). Payload-form
@@ -412,49 +408,45 @@ class TwinDriverManager:
         self._parked_batches.clear()
 
     def preserve_parked_batches(self) -> int:
-        """Carry parked masked-virq batches across a quarantine or
-        planned teardown: convert each skb to payload bytes (read via
-        dom0's own address space — the stlb may already be gone) and
-        release the skb to the pool exactly once, even when a broadcast
-        skb appears in several guests' batches. The packets move to
-        ``_parked_payloads`` and are delivered — charged and counted
-        once, as the parking contract promises — by the guest's unmask
-        hook. Returns the number of packets carried."""
-        if not self._parked_batches:
-            return 0
-        mem = self.dom0_kernel.memory_view()
-        pool = self.hyp_support.pool
+        """Carry parked masked-virq batches across a quarantine: convert
+        them to payload form (:meth:`_to_payloads`), which the guest's
+        unmask hook hands off. Returns the number of packets carried."""
         carried = 0
-        released: set = set()
         for guest, skbs in self._parked_batches:
-            payloads: List[bytes] = []
-            for skb_addr in skbs:
-                skb = SkBuff(mem, skb_addr)
-                payloads.append(mem.read_bytes(skb.data, skb.len))
-                if skb_addr not in released:
-                    released.add(skb_addr)
-                    if skb.pool:
-                        pool.release(skb_addr)
-                    else:
-                        skb.refcnt = 1
-                        self.dom0_kernel.free_skb(skb_addr)
-            self._parked_payloads.append((guest, payloads))
-            carried += len(payloads)
+            self._parked_payloads.append((guest, self._to_payloads(skbs)))
+            carried += len(skbs)
         self._parked_batches.clear()
         return carried
 
-    def _deliver_parked_payloads(self, guest: ParavirtNetDevice,
-                                 payloads: List[bytes]):
-        """Deliver a payload-form parked batch: the single accounting
-        event for packets whose skbs were reclaimed at quarantine. Each
-        packet is charged one copy (into the guest's buffers) and the
-        batch one coalesced virq — the same shape as a normal flush,
-        minus the dom0 bookkeeping share (dom0's skbs are already gone)."""
+    def _to_payloads(self, skbs: List[int]) -> List[bytes]:
+        """Copy queued or parked skbs out to payload bytes that no longer
+        reference instance state: read through dom0's own address space
+        (the stlb may already be gone) and charged as the packet's one
+        copy, so the later hand-off owes only the virq. Each conversion
+        drops one skb reference through dom0's ``kfree_skb`` rule, so a
+        broadcast skb shared by several guests' batches is released once,
+        with the last reference."""
+        mem = self.dom0_kernel.memory_view()
         costs = self.xen.costs
-        for payload in payloads:
+        payloads: List[bytes] = []
+        for skb_addr in skbs:
+            skb = SkBuff(mem, skb_addr)
+            payload = mem.read_bytes(skb.data, skb.len)
             self.xen.charge_xen(costs.copy_cost(len(payload))
                                 + costs.twin_rx_copy_extra,
                                 phase="twin:rx_copy")
+            self.dom0_kernel.free_skb(skb_addr)
+            payloads.append(payload)
+        return payloads
+
+    def _hand_off(self, guest: ParavirtNetDevice, payloads: List[bytes]):
+        """The single rx hand-off to a guest, for payloads already copied
+        and charged. A virq-masked guest's batch is parked (delivered by
+        its unmask hook, the single accounting event); otherwise the batch
+        gets ONE coalesced virtual interrupt and is delivered."""
+        if not guest.kernel.domain.virq_enabled:
+            self._parked_payloads.append((guest, payloads))
+            return
         self._h_rx_batch.observe(len(payloads))
         self.xen.deliver_coalesced_virq(guest.kernel.domain, len(payloads))
         guest.deliver_batch(payloads)
@@ -484,22 +476,27 @@ class TwinDriverManager:
         finally:
             self.xen.switch_to(previous)
 
-    def reload_hyp_driver(self, verify_report=None) -> None:
-        """Replace a quarantined hypervisor instance with a freshly loaded
-        one at the same code base (``code_offset`` stays constant, so
-        indirect-call translation is unchanged). The caller is expected to
-        have re-verified the binary (recovery passes its report in).
-        Under elision the *pre-elision* binary is what gets re-verified —
-        the transform is a pure function of its proofs — and the elided
-        binary is what gets reloaded."""
-        if verify_report is None and self.elision is not None:
-            # the elided binary intentionally fails hostile verification;
-            # prove the pre-elision binary instead, as recovery does
-            from ..analysis.verifier import verify_program
-            verify_report = verify_program(
-                self.rewritten, annotations=self.rewrite_stats.annotations,
-                protect_stack=self.protect_stack)
-        self.machine.code.unregister(self.hyp_driver.loaded)
+    def reverify(self, tag: str):
+        """Statically verify the rewritten binary in annotated mode (the
+        rewriter's site annotations are cross-checked, not believed) and
+        return the report; raise ``VerificationError`` on a violation.
+        Under elision the *pre-elision* binary is what gets proved — the
+        transform is a pure function of its proofs, and the elided binary
+        deliberately fails verification. ``tag`` names the report
+        (``<instance>:<tag>``)."""
+        from ..analysis.report import VerificationError
+        from ..analysis.verifier import verify_program
+        report = verify_program(
+            self.rewritten, annotations=self.rewrite_stats.annotations,
+            protect_stack=self.protect_stack,
+            name=f"{self.instance_name}:{tag}")
+        if not report.ok:
+            raise VerificationError(report)
+        return report
+
+    def _load_hyp_instance(self, verify_report) -> None:
+        """Load the hypervisor instance at ``code_base``; a ``None``
+        report loads unverified (``verify=False``)."""
         support_bindings = {
             name: addr for name, addr in self.hyp_support.addresses.items()
             if name not in self.upcall_routines
@@ -510,17 +507,34 @@ class TwinDriverManager:
             self.loadable, self.vm_module, self.hyp_runtime,
             support_bindings, upcall_factory=self.upcalls.make_stub,
             name=f"{self.instance_name}:{self.driver_spec.name}",
-            verify_report=verify_report,
-            annotations=self.rewrite_stats.annotations,
+            verify=verify_report is not None, verify_report=verify_report,
             protect_stack=self.protect_stack,
             elided_indices=(self.elision.elided_indices
                             if self.elision is not None else ()),
         )
 
+    def reload_hyp_driver(self, verify_report) -> None:
+        """Replace the hypervisor instance with a freshly loaded one at
+        the same code base (``code_offset`` stays constant, so indirect
+        call translation is unchanged), given the report of a
+        :meth:`reverify` that just passed. The one reset list for every
+        reload (recovery and planned swap alike):
+
+        * unregister + register bump the CodeRegistry epoch twice, so no
+          JIT superblock compiled against the old program survives;
+        * the ``__svm_anchorK`` elision anchor slots are zeroed;
+        * the stlb is flushed;
+        * the indirect-call translation cache is cleared."""
+        self.machine.code.unregister(self.hyp_driver.loaded)
+        self._load_hyp_instance(verify_report)
+        self.reset_anchor_slots()
+        self.svm.flush()
+        self.hyp_runtime.call_xlate_cache.clear()
+
     def reset_anchor_slots(self) -> int:
         """Zero this instance's ``__svm_anchorK`` slots (hypervisor side).
-        A planned swap must not let a translation stored by the OLD
-        program be the first thing the NEW program's elided sites reload;
+        A reload must not let a translation stored by the OLD program be
+        the first thing the NEW program's elided sites reload;
         every anchor site re-stores before its elided reads, so zeroing
         is free on the fast path. Returns the number of slots cleared."""
         if self.elision is None:
@@ -624,49 +638,25 @@ class TwinDriverManager:
     def detach_guest_device(self, dev: ParavirtNetDevice):
         """Remove ``dev`` from this twin for re-homing to another live
         instance. Queued skbs and parked batches addressed to it are
-        converted to payload bytes (released to THIS twin's pool) and
-        returned as the list of pending (payload-form) batches the
-        adopting twin must deliver. The guest's unmask hook is unhooked
-        when no other device of that domain stays behind."""
+        converted to payload form (:meth:`_to_payloads`, releasing the
+        skbs to THIS twin's pool) and returned as the list of pending
+        batches the adopting twin must hand off. The guest's unmask hook
+        is unhooked when no other device of that domain stays behind."""
         if dev not in self.guest_devices:
             raise ValueError(f"device {dev.mac.hex()} not on this twin")
-        mem = self.dom0_kernel.memory_view()
-        pool = self.hyp_support.pool
         pending: List[List[bytes]] = []
-
-        def _to_payload(skb_addr: int) -> bytes:
-            skb = SkBuff(mem, skb_addr)
-            payload = mem.read_bytes(skb.data, skb.len)
-            refs = skb.refcnt
-            if refs > 1:
-                # broadcast skb shared with batches staying behind:
-                # this detach drops only its own reference
-                skb.refcnt = refs - 1
-            elif skb.pool:
-                pool.release(skb_addr)
-            else:
-                self.dom0_kernel.free_skb(skb_addr)
-            return payload
-
         for q in self.queues:
             mine = [s for g, s in q.rx if g is dev]
             if mine:
                 q.rx = [(g, s) for g, s in q.rx if g is not dev]
-                pending.append([_to_payload(s) for s in mine])
-        still_parked: List[Tuple[ParavirtNetDevice, List[int]]] = []
-        for guest, skbs in self._parked_batches:
-            if guest is dev:
-                pending.append([_to_payload(s) for s in skbs])
-            else:
-                still_parked.append((guest, skbs))
-        self._parked_batches = still_parked
-        still_carried: List[Tuple[ParavirtNetDevice, List[bytes]]] = []
-        for guest, payloads in self._parked_payloads:
-            if guest is dev:
-                pending.append(payloads)
-            else:
-                still_carried.append((guest, payloads))
-        self._parked_payloads = still_carried
+                pending.append(self._to_payloads(mine))
+        pending += [self._to_payloads(skbs)
+                    for g, skbs in self._parked_batches if g is dev]
+        self._parked_batches = [(g, skbs) for g, skbs in self._parked_batches
+                                if g is not dev]
+        pending += [p for g, p in self._parked_payloads if g is dev]
+        self._parked_payloads = [(g, p) for g, p in self._parked_payloads
+                                 if g is not dev]
 
         self.guest_devices.remove(dev)
         del self.guests_by_mac[dev.mac]
@@ -682,18 +672,13 @@ class TwinDriverManager:
     def adopt_guest_device(self, dev: ParavirtNetDevice,
                            pending: Optional[List[List[bytes]]] = None):
         """Adopt a device detached from another twin: register it here
-        (RSS steering, unmask hook, netdev binding) and deliver — or
-        park, if the guest's virq is masked — the payload batches that
-        were in flight on the source instance."""
+        (RSS steering, unmask hook, netdev binding) and hand off the
+        payload batches that were in flight on the source instance."""
         dev.twin = self
         self.register_guest_device(dev)
         for payloads in pending or []:
-            if not payloads:
-                continue
-            if dev.kernel.domain.virq_enabled and not self.frozen:
-                self._deliver_parked_payloads(dev, payloads)
-            else:
-                self._parked_payloads.append((dev, payloads))
+            if payloads:
+                self._hand_off(dev, payloads)
 
     # ----------------------------------------------------------------- transmit
 
@@ -768,8 +753,10 @@ class TwinDriverManager:
         except CONTAINABLE_FAULTS:
             # the staged skb would otherwise stay 'outstanding' forever:
             # the faulting instance never gets to free it, and the
-            # degraded path allocates its own
-            self.hyp_support.pool.release(skb_addr)
+            # degraded path allocates its own — unless the driver already
+            # posted it in the tx ring, whose cleaner releases it
+            if skb_addr not in self.ring_posted_skbs():
+                self.hyp_support.pool.release(skb_addr)
             raise
         if result != 0:
             self.hyp_support.dev_kfree_skb_any(skb_addr)
@@ -982,10 +969,7 @@ class TwinDriverManager:
                     tracer.end_span(span)
             # ONE virtual interrupt for the whole batch (was one per
             # packet): the coalescing §5.3 promises
-            self._h_rx_batch.observe(len(payloads))
-            self.xen.deliver_coalesced_virq(guest.kernel.domain,
-                                            len(payloads))
-            guest.deliver_batch(payloads)
+            self._hand_off(guest, payloads)
 
         if leftovers:
             q.rx.extend(leftovers)
@@ -996,31 +980,27 @@ class TwinDriverManager:
         """Guest unmask hook: batches parked while the guest's virq was
         masked go back on their queues and a softirq re-runs the flush
         (which copies, charges and delivers them — their first and only
-        accounting). Payload-form batches carried across a quarantine
-        are delivered directly. While frozen for a planned handover
-        everything stays parked; the handover's replay phase re-fires
-        this hook after the swap."""
+        accounting). Payload-form batches are handed off directly. While
+        frozen for a planned handover everything stays parked; the
+        handover's replay phase re-fires this hook after the swap."""
         if self.frozen:
             return
         if not self._parked_batches and not self._parked_payloads:
             return
-        still_parked: List[Tuple[ParavirtNetDevice, List[int]]] = []
+        parked, carried = self._parked_batches, self._parked_payloads
+        self._parked_batches = [(g, skbs) for g, skbs in parked
+                                if g.kernel.domain is not domain]
+        self._parked_payloads = [(g, p) for g, p in carried
+                                 if g.kernel.domain is not domain]
         replayed = False
-        for guest, skbs in self._parked_batches:
+        for guest, skbs in parked:
             if guest.kernel.domain is domain:
                 qi = self._guest_rx_queue.get(guest.mac, 0)
                 self.queues[qi].rx.extend((guest, s) for s in skbs)
                 replayed = True
-            else:
-                still_parked.append((guest, skbs))
-        self._parked_batches = still_parked
-        still_carried: List[Tuple[ParavirtNetDevice, List[bytes]]] = []
-        for guest, payloads in self._parked_payloads:
+        for guest, payloads in carried:
             if guest.kernel.domain is domain:
-                self._deliver_parked_payloads(guest, payloads)
-            else:
-                still_carried.append((guest, payloads))
-        self._parked_payloads = still_carried
+                self._hand_off(guest, payloads)
         if replayed:
             self.xen.raise_softirq(self.flush_rx)
             if self.xen.driver_depth == 0:

@@ -3,14 +3,15 @@
 Two structurally different drivers demonstrate that the TwinDrivers
 pipeline is driver-agnostic: the scatter/gather, descriptor-ring e1000 and
 the copying, fixed-slot RTL8139. A :class:`DriverSpec` tells the twin
-manager what it needs to know about a driver (entry points and whether the
-hardware supports scatter/gather).
+manager what it needs to know about a driver (entry points, whether the
+hardware supports scatter/gather, and where it keeps ring-posted skbs).
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Tuple
 
 from ..isa import Program
+from ..osmodel import layout as L
 from .e1000 import (
     DESC_PAGE,
     DRIVER_CONSTANTS,
@@ -40,6 +41,11 @@ class DriverSpec:
     #: driver linear sk_buffs (the twin path copies instead of chaining
     #: guest-page fragments).
     scatter_gather: bool = True
+    #: ``(array, count)`` offsets in the driver's private adapter struct:
+    #: ``array`` points at ``count`` skb pointers the driver has posted to
+    #: a NIC ring (0 = empty slot). Those skbs belong to whichever driver
+    #: instance consumes the slot, so recovery must not reclaim them.
+    ring_skb_slots: Tuple[Tuple[int, int], ...] = ()
 
 
 E1000_SPEC = DriverSpec(
@@ -50,6 +56,8 @@ E1000_SPEC = DriverSpec(
     close_symbol="e1000_close",
     stats_symbol="e1000_get_stats",
     scatter_gather=True,
+    ring_skb_slots=((L.ADP_RX_SKBS, L.ADP_RX_COUNT),
+                    (L.ADP_TX_SKBS, L.ADP_TX_COUNT)),
 )
 
 RTL8139_SPEC = DriverSpec(

@@ -526,23 +526,6 @@ class Cpu:
         self._set_zsf(r, size)
         return r & ((1 << (size * 8)) - 1)
 
-    def condition(self, cc: str) -> bool:
-        f = self.flags
-        return {
-            "je": f["zf"], "jz": f["zf"],
-            "jne": not f["zf"], "jnz": not f["zf"],
-            "jl": f["sf"] != f["of"],
-            "jge": f["sf"] == f["of"],
-            "jle": f["zf"] or (f["sf"] != f["of"]),
-            "jg": (not f["zf"]) and f["sf"] == f["of"],
-            "jb": f["cf"],
-            "jae": not f["cf"],
-            "jbe": f["cf"] or f["zf"],
-            "ja": not (f["cf"] or f["zf"]),
-            "js": f["sf"],
-            "jns": not f["sf"],
-        }[cc]
-
     def flags_word(self) -> int:
         f = self.flags
         return (
@@ -735,171 +718,6 @@ class Cpu:
                     stats["entries"] += sb.entries
         return stats
 
-    def _branch_target(self, instr: Instruction, loaded: LoadedProgram,
-                       index: int) -> int:
-        if instr.indirect:
-            op = instr.operands[0]
-            if isinstance(op, Reg):
-                return self.get_reg(op.name)
-            if isinstance(op, Mem):
-                self.charge(self.costs.mem)
-                return self.read_mem(self.effective_address(op), 4)
-            raise ExecutionFault("bad indirect target operand")
-        return loaded.targets[index]
-
-    def _execute(self, instr: Instruction, loaded: LoadedProgram, index: int):
-        m = instr.mnemonic
-        size = instr.size
-        costs = self.costs
-        self.charge(costs.alu)
-
-        if m == "nop" or m in ("cld", "std", "sti", "cli"):
-            if m == "cld":
-                self.df = False
-            elif m == "std":
-                self.df = True
-            return
-        if m in ("int3", "ud2", "hlt"):
-            raise ExecutionFault(f"{m} executed at {loaded.name}[{index}]")
-
-        if m == "mov":
-            value = self.read_operand(instr.src, size)
-            self.write_operand(instr.dst, size, value)
-            return
-        if m in ("movzb", "movzw"):
-            value = self.read_operand(instr.src, size)
-            self.write_operand(instr.dst, 4, value)
-            return
-        if m == "movsx":
-            value = self.read_operand(instr.src, size)
-            bits = size * 8
-            if value & (1 << (bits - 1)):
-                value |= MASK32 ^ ((1 << bits) - 1)
-            self.write_operand(instr.dst, 4, value)
-            return
-        if m == "lea":
-            self.write_operand(instr.dst, 4,
-                               self.effective_address(instr.src))
-            return
-        if m == "xchg":
-            a = self.read_operand(instr.src, size)
-            b = self.read_operand(instr.dst, size)
-            self.write_operand(instr.src, size, b)
-            self.write_operand(instr.dst, size, a)
-            return
-
-        if m in ("add", "sub", "and", "or", "xor", "imul", "cmp", "test"):
-            a = self.read_operand(instr.dst, size)
-            b = self.read_operand(instr.src, size)
-            if m == "add":
-                r = self._flags_add(a, b, size)
-            elif m in ("sub", "cmp"):
-                r = self._flags_sub(a, b, size)
-            elif m in ("and", "test"):
-                r = self._flags_logic(a & b, size)
-            elif m == "or":
-                r = self._flags_logic(a | b, size)
-            elif m == "xor":
-                r = self._flags_logic(a ^ b, size)
-            else:  # imul
-                full = a * b
-                r = full & ((1 << (size * 8)) - 1)
-                self.flags["cf"] = self.flags["of"] = full != r
-                self._set_zsf(r, size)
-            if m not in ("cmp", "test"):
-                self.write_operand(instr.dst, size, r)
-            return
-
-        if m in ("shl", "shr", "sar"):
-            count = self.read_operand(instr.src, 1) & 0x1F
-            value = self.read_operand(instr.dst, size)
-            bits = size * 8
-            if count == 0:
-                return
-            if m == "shl":
-                r = value << count
-                self.flags["cf"] = bool(r & (1 << bits))
-                r &= (1 << bits) - 1
-            elif m == "shr":
-                self.flags["cf"] = bool((value >> (count - 1)) & 1)
-                r = value >> count
-            else:  # sar
-                sign = value & (1 << (bits - 1))
-                v = value
-                for _ in range(count):
-                    v = (v >> 1) | sign
-                self.flags["cf"] = bool((value >> (count - 1)) & 1)
-                r = v & ((1 << bits) - 1)
-            self.flags["of"] = False
-            self._set_zsf(r, size)
-            self.write_operand(instr.dst, size, r)
-            return
-
-        if m in ("inc", "dec", "neg", "not"):
-            value = self.read_operand(instr.dst, size)
-            cf = self.flags["cf"]
-            if m == "inc":
-                r = self._flags_add(value, 1, size)
-                self.flags["cf"] = cf  # inc/dec preserve CF
-            elif m == "dec":
-                r = self._flags_sub(value, 1, size)
-                self.flags["cf"] = cf
-            elif m == "neg":
-                r = self._flags_sub(0, value, size)
-            else:
-                r = (~value) & ((1 << (size * 8)) - 1)
-            self.write_operand(instr.dst, size, r)
-            return
-
-        if m == "push":
-            self.push(self.read_operand(instr.src, 4))
-            return
-        if m == "pop":
-            self.write_operand(instr.dst, 4, self.pop())
-            return
-        if m == "pushf":
-            self.push(self.flags_word())
-            return
-        if m == "popf":
-            self.set_flags_word(self.pop())
-            return
-
-        if m == "call":
-            self.charge(costs.call)
-            target = self._branch_target(instr, loaded, index)
-            routine = self.natives.by_addr.get(target)
-            if routine is not None:
-                self.push(self.eip)
-                self._invoke_native(routine)
-                return
-            self.push(self.eip)
-            self.eip = target
-            return
-        if m == "ret":
-            self.charge(costs.ret)
-            self.eip = self.pop()
-            return
-        if m == "jmp":
-            target = self._branch_target(instr, loaded, index)
-            routine = self.natives.by_addr.get(target)
-            if routine is not None:
-                # Tail call into a native routine: return address is the
-                # caller's, already on the stack.
-                self._invoke_native(routine)
-                return
-            self.eip = target
-            return
-        if instr.is_conditional:
-            if self.condition(m):
-                self.eip = loaded.targets[index]
-            return
-
-        if instr.is_string:
-            self._execute_string(instr)
-            return
-
-        raise ExecutionFault(f"unimplemented mnemonic {m!r}")  # pragma: no cover
-
     # -- string instructions ----------------------------------------------------------
 
     def _string_element(self, instr: Instruction) -> bool:
@@ -958,8 +776,8 @@ class Cpu:
 # compiler below turns each instruction into a specialized closure — the
 # mnemonic test, operand decoding and branch-target resolution happen once,
 # at first execution, and the closure is cached on the LoadedProgram keyed
-# by instruction index. Cycle accounting is bit-identical to ``_execute``:
-# the same ``charge`` calls happen in the same order with the same values.
+# by instruction index. These handlers are the reference semantics: the
+# superblock JIT is checked against them, charge for charge.
 
 #: full (32-bit) register names — sub-register access goes through
 #: get_reg/set_reg, full registers are read/written directly.
@@ -1083,7 +901,7 @@ def _write_thunk(op, size: int) -> Callable[[Cpu, int], None]:
 
 def _target_thunk(instr: Instruction, loaded: LoadedProgram,
                   index: int) -> Callable[[Cpu], int]:
-    """Compile branch-target resolution (mirrors ``_branch_target``)."""
+    """Compile branch-target resolution."""
     if instr.indirect:
         op = instr.operands[0]
         if isinstance(op, Reg):
@@ -1109,8 +927,7 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
     """Build the specialized handler closure for one instruction.
 
     Invariant: by the time a handler runs, ``step()`` has already set
-    ``cpu.eip`` to the fall-through successor — exactly the state
-    ``_execute`` saw."""
+    ``cpu.eip`` to the fall-through successor."""
     m = instr.mnemonic
     size = instr.size
 

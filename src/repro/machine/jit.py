@@ -83,7 +83,7 @@ _FULL_REGS = frozenset(
     ("eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi"))
 
 #: condition expressions over the hoisted flags dict ``f`` — same truth
-#: tables as ``Cpu.condition``.
+#: tables as ``cpu._CONDITIONS``.
 _COND_EXPR = {
     "je": "f['zf']", "jz": "f['zf']",
     "jne": "not f['zf']", "jnz": "not f['zf']",

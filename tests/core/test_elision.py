@@ -171,6 +171,10 @@ class TestElisionRecovery:
 
     def test_manual_reload_reverifies_pre_elision_binary(self):
         _, _, twin, dev, _ = make_twin(elide=True)
-        twin.reload_hyp_driver()        # verify_report=None path
+        report = twin.reverify("manual")
+        # the pre-elision binary is what gets proved
+        assert report.ok
+        assert report.instructions == len(twin.rewritten.instructions)
+        twin.reload_hyp_driver(report)
         assert dev.transmit(700)
         assert twin.svm.counters_snapshot()["elided"] > 0

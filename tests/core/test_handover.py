@@ -163,6 +163,8 @@ class TestSwapBinary:
 
         class BadReport:
             ok = False
+            errors = []
+            program_name = "bad"
 
         import repro.analysis.verifier as verifier
         monkeypatch.setattr(verifier, "verify_program",
@@ -411,6 +413,7 @@ class TestDemuxRxPoolBalance:
         twin.recovery._demux_rx(skb_addr)
         assert dev.rx_packets == 1           # every guest got a copy
         assert not pool.outstanding and pool.balanced
+        assert pool.double_releases == 0
 
     def test_unknown_unicast_pool_skb_returns_to_pool(self):
         m, xen, twin, dev, nic = make_twin()
@@ -419,6 +422,7 @@ class TestDemuxRxPoolBalance:
         twin.recovery._demux_rx(skb_addr)
         assert dev.rx_packets == 0           # dom0's own stack took it
         assert not pool.outstanding and pool.balanced
+        assert pool.double_releases == 0
 
 
 class TestDegradedTransmitLeak:
