@@ -45,10 +45,11 @@ def test_rewriter_ablation(benchmark):
     lines = list(header("Rewriter ablations",
                         paper_col="no-liveness", meas_col="liveness"))
     lines.append(compare_row("register spills", without.spills,
-                             with_liveness.spills, ""))
+                             with_liveness.spills, "", ref="no-liveness"))
     lines.append(compare_row("output instructions",
                              without.output_instructions,
-                             with_liveness.output_instructions, ""))
+                             with_liveness.output_instructions, "",
+                             ref="no-liveness"))
     saved = (without.output_instructions
              - with_liveness.output_instructions)
     lines.append(f"  liveness analysis avoids {saved} instructions "

@@ -85,12 +85,15 @@ def report(name: str, lines: Iterable[str],
         write_json_result(name, metrics, config=config, obs=obs)
 
 
-def compare_row(label: str, paper, measured, unit: str = "") -> str:
+def compare_row(label: str, paper, measured, unit: str = "",
+                ref: str = "paper") -> str:
+    """One table row; ``ref`` names the reference column (the header's
+    ``paper_col``) that the ratio suffix is relative to."""
     if paper in (None, ""):
         return f"  {label:34s} {'—':>10}   {measured:>10.0f} {unit}"
     ratio = measured / paper if paper else float("nan")
     return (f"  {label:34s} {paper:>10.0f}   {measured:>10.0f} {unit}"
-            f"   ({ratio:+.1%} of paper)".replace("+", ""))
+            f"   ({ratio:.1%} of {ref})")
 
 
 def header(title: str, paper_col: str = "paper", meas_col: str = "measured"

@@ -20,11 +20,7 @@ from typing import Callable, List, Optional
 
 from .core.handover import HandoverManager
 from .core.paravirt import ParavirtNetDevice
-from .core.twin import (
-    DEFAULT_RX_BATCH_BUDGET,
-    DEFAULT_TX_BATCH_MAX,
-    TwinDriverManager,
-)
+from .core.twin import TwinDriverManager
 from .drivers.e1000 import build_e1000_program
 from .machine.machine import Machine
 from .machine.nic import E1000Device
@@ -62,11 +58,8 @@ UPCALL_SWEEP_ORDER = (
 
 GUEST_MAC_PREFIX = b"\x00\x16\x3e\xaa\x00"
 
-#: Batching knobs for the TwinDrivers fast path (see DESIGN.md §9):
-#: packets a guest may receive per flush under one coalesced virtual
-#: interrupt, and the frame cap per guest_transmit_batch burst.
-RX_BATCH_BUDGET = DEFAULT_RX_BATCH_BUDGET
-TX_BATCH_MAX = DEFAULT_TX_BATCH_MAX
+#: NIC interrupt coalescing: completions per physical interrupt.
+INTERRUPT_BATCH = 8
 
 
 @dataclass
@@ -145,27 +138,86 @@ def _open_native_driver(machine: Machine, kernel: Kernel,
     return module, netdevs
 
 
-def _apply_batch(nics: List[E1000Device], interrupt_batch: int):
+def _add_nics(machine: Machine, n_nics: int, num_queues: int = 1,
+              interrupt_batch: int = INTERRUPT_BATCH) -> List[E1000Device]:
+    nics = [machine.add_nic(num_queues=num_queues) for _ in range(n_nics)]
     for nic in nics:
         nic.interrupt_batch = interrupt_batch
+    return nics
+
+
+def _xen_host(n_nics: int, costs: Optional[CostModel] = None,
+              iommu: bool = False, jit: bool = False, vcpus: int = 1,
+              num_queues: int = 1, interrupt_batch: int = INTERRUPT_BATCH,
+              guest: bool = False):
+    """The assembly every Xen configuration shares: Machine, Xen, the
+    dom0 kernel, one guest kernel when ``guest`` is set, then the NICs.
+
+    Allocation order is part of the behaviour (frame addresses decide
+    stlb hashing, and so cycles): domains and kernels before NICs, and
+    every twin after this returns. Returns ``(machine, costs, xen,
+    dom0_kernel, guest_kernel, nics)``; ``guest_kernel`` is None without
+    ``guest``."""
+    costs = costs or CostModel()
+    machine = Machine()
+    machine.cpu.jit_enabled = jit
+    if iommu:
+        machine.attach_iommu()
+    xen = Hypervisor(machine, costs=costs, vcpus=vcpus)
+    dom0 = xen.create_domain("dom0", is_dom0=True)
+    dom0_kernel = Kernel(machine, dom0, costs=costs, paravirtual=True)
+    guest_kernel = None
+    if guest:
+        guest_kernel = Kernel(machine, xen.create_domain("guest"),
+                              costs=costs, paravirtual=True)
+    nics = _add_nics(machine, n_nics, num_queues, interrupt_batch)
+    return machine, costs, xen, dom0_kernel, guest_kernel, nics
+
+
+def _twin_guests(xen: Hypervisor, twin: TwinDriverManager, n_guests: int,
+                 mac_of: Callable[[int], bytes]) -> dict:
+    """``n_guests`` full domains, each with its own kernel and a paravirt
+    device on ``twin`` (MAC ``mac_of(i)``), plus round-robin tx/rx facade
+    operations that cover every guest regardless of the NIC index they
+    are called with. Returns the matching :class:`SystemUnderTest`
+    keyword arguments."""
+    if n_guests < 1:
+        raise ValueError("need at least one guest")
+    guest_kernels: List[Kernel] = []
+    devices: List[ParavirtNetDevice] = []
+    for i in range(n_guests):
+        kernel = Kernel(xen.machine, xen.create_domain(f"guest{i}"),
+                        costs=xen.costs, paravirtual=True)
+        guest_kernels.append(kernel)
+        devices.append(ParavirtNetDevice(twin, kernel, mac=mac_of(i)))
+    cursor = {"tx": 0, "rx": 0}
+
+    def tx_one(i: int, payload_len: int) -> bool:
+        dev = devices[cursor["tx"] % n_guests]
+        cursor["tx"] += 1
+        return dev.transmit(payload_len)
+
+    def rx_mac(i: int) -> bytes:
+        mac = devices[cursor["rx"] % n_guests].mac
+        cursor["rx"] += 1
+        return mac
+
+    return dict(
+        _tx_one=tx_one, _rx_mac=rx_mac,
+        _rx_count=lambda: sum(d.rx_packets for d in devices),
+        guest_kernel=guest_kernels[0],
+        extras={"devices": devices, "guest_kernels": guest_kernels},
+    )
 
 
 # ---------------------------------------------------------------------------
 # native Linux
 # ---------------------------------------------------------------------------
 
-def build_native_linux(n_nics: int = 5, interrupt_batch: int = 8,
-                       costs: Optional[CostModel] = None,
-                       iommu: bool = False,
-                       jit: bool = False,
-                       vcpus: int = 1,
-                       num_queues: int = 1) -> SystemUnderTest:
-    if vcpus != 1:
-        raise ValueError("native linux has no hypervisor vCPUs to scale; "
-                         "vcpus= only applies to the Xen configurations")
+def build_native_linux(n_nics: int = 5, costs: Optional[CostModel] = None,
+                       iommu: bool = False) -> SystemUnderTest:
     costs = costs or CostModel()
     machine = Machine()
-    machine.cpu.jit_enabled = jit
     if iommu:
         machine.attach_iommu()
     machine.cpu.cycle_scale = costs.driver_cycle_scale
@@ -176,8 +228,7 @@ def build_native_linux(n_nics: int = 5, interrupt_batch: int = 8,
     kernel = Kernel(machine, domain, costs=costs, paravirtual=False)
     machine.cpu.address_space = domain.aspace
     machine.intc.set_dispatcher(lambda irq: kernel.handle_irq(irq))
-    nics = [machine.add_nic(num_queues=num_queues) for _ in range(n_nics)]
-    _apply_batch(nics, interrupt_batch)
+    nics = _add_nics(machine, n_nics)
     module, netdevs = _open_native_driver(machine, kernel, nics)
 
     def tx_one(i: int, payload_len: int) -> bool:
@@ -197,22 +248,10 @@ def build_native_linux(n_nics: int = 5, interrupt_batch: int = 8,
 # Xen dom0 (the driver domain itself)
 # ---------------------------------------------------------------------------
 
-def build_dom0(n_nics: int = 5, interrupt_batch: int = 8,
-               costs: Optional[CostModel] = None,
-               iommu: bool = False,
-               jit: bool = False,
-               vcpus: int = 1,
-               num_queues: int = 1) -> SystemUnderTest:
-    costs = costs or CostModel()
-    machine = Machine()
-    machine.cpu.jit_enabled = jit
-    if iommu:
-        machine.attach_iommu()
-    xen = Hypervisor(machine, costs=costs, vcpus=vcpus)
-    dom0 = xen.create_domain("dom0", is_dom0=True)
-    kernel = Kernel(machine, dom0, costs=costs, paravirtual=True)
-    nics = [machine.add_nic(num_queues=num_queues) for _ in range(n_nics)]
-    _apply_batch(nics, interrupt_batch)
+def build_dom0(n_nics: int = 5, costs: Optional[CostModel] = None,
+               iommu: bool = False) -> SystemUnderTest:
+    machine, costs, xen, kernel, _, nics = _xen_host(
+        n_nics, costs, iommu=iommu)
     module, netdevs = _open_native_driver(machine, kernel, nics)
 
     def irq_handler(irq: int):
@@ -241,24 +280,10 @@ def build_dom0(n_nics: int = 5, interrupt_batch: int = 8,
 # unoptimized guest (standard split-driver path)
 # ---------------------------------------------------------------------------
 
-def build_domU_standard(n_nics: int = 5, interrupt_batch: int = 8,
-                        costs: Optional[CostModel] = None,
-                        iommu: bool = False,
-                        jit: bool = False,
-                        vcpus: int = 1,
-                        num_queues: int = 1) -> SystemUnderTest:
-    costs = costs or CostModel()
-    machine = Machine()
-    machine.cpu.jit_enabled = jit
-    if iommu:
-        machine.attach_iommu()
-    xen = Hypervisor(machine, costs=costs, vcpus=vcpus)
-    dom0 = xen.create_domain("dom0", is_dom0=True)
-    dom0_kernel = Kernel(machine, dom0, costs=costs, paravirtual=True)
-    guest = xen.create_domain("guest")
-    guest_kernel = Kernel(machine, guest, costs=costs, paravirtual=True)
-    nics = [machine.add_nic(num_queues=num_queues) for _ in range(n_nics)]
-    _apply_batch(nics, interrupt_batch)
+def build_domU_standard(n_nics: int = 5, costs: Optional[CostModel] = None,
+                        iommu: bool = False) -> SystemUnderTest:
+    machine, costs, xen, dom0_kernel, guest_kernel, nics = _xen_host(
+        n_nics, costs, iommu=iommu, guest=True)
     module, netdevs = _open_native_driver(machine, dom0_kernel, nics)
 
     backend = XenNetBack(xen, dom0_kernel)
@@ -273,7 +298,7 @@ def build_domU_standard(n_nics: int = 5, interrupt_batch: int = 8,
         xen.charge_xen(costs.virq_delivery)
         xen.charge_xen(costs.domain_switch)     # enter dom0 for the ISR
         prev = machine.cpu.address_space
-        machine.cpu.address_space = dom0.aspace
+        machine.cpu.address_space = dom0_kernel.domain.aspace
         try:
             dom0_kernel.handle_irq(irq)
         finally:
@@ -300,12 +325,10 @@ def build_domU_standard(n_nics: int = 5, interrupt_batch: int = 8,
 # TwinDrivers guest
 # ---------------------------------------------------------------------------
 
-def build_domU_twin(n_nics: int = 5, interrupt_batch: int = 8,
+def build_domU_twin(n_nics: int = 5, interrupt_batch: int = INTERRUPT_BATCH,
                     n_upcalls: int = 0,
                     costs: Optional[CostModel] = None,
                     iommu: bool = False,
-                    rx_batch_budget: int = RX_BATCH_BUDGET,
-                    tx_batch_max: int = TX_BATCH_MAX,
                     elide: bool = False,
                     jit: bool = False,
                     vcpus: int = 1,
@@ -313,8 +336,7 @@ def build_domU_twin(n_nics: int = 5, interrupt_batch: int = 8,
                     handover: bool = False) -> SystemUnderTest:
     """``n_upcalls``: how many fast-path routines are served by upcalls
     instead of hypervisor implementations (0 = the full TwinDrivers
-    configuration; figure 10 sweeps 0..9). ``rx_batch_budget`` /
-    ``tx_batch_max`` tune the §5.3 batching fast path. ``elide`` turns on
+    configuration; figure 10 sweeps 0..9). ``elide`` turns on
     proof-based stlb check elision (prove-then-elide, off by default).
     ``jit`` turns on superblock trace compilation in the interpreter
     (host wall-time only; simulated cycles are bit-identical either
@@ -327,25 +349,14 @@ def build_domU_twin(n_nics: int = 5, interrupt_batch: int = 8,
     default path stays bit-identical."""
     if not 0 <= n_upcalls <= len(UPCALL_SWEEP_ORDER):
         raise ValueError("n_upcalls out of range")
-    costs = costs or CostModel()
-    machine = Machine()
-    machine.cpu.jit_enabled = jit
-    if iommu:
-        machine.attach_iommu()
-    xen = Hypervisor(machine, costs=costs, vcpus=vcpus)
-    dom0 = xen.create_domain("dom0", is_dom0=True)
-    dom0_kernel = Kernel(machine, dom0, costs=costs, paravirtual=True)
-    guest = xen.create_domain("guest")
-    guest_kernel = Kernel(machine, guest, costs=costs, paravirtual=True)
-    nics = [machine.add_nic(num_queues=num_queues) for _ in range(n_nics)]
-    _apply_batch(nics, interrupt_batch)
+    machine, costs, xen, dom0_kernel, guest_kernel, nics = _xen_host(
+        n_nics, costs, iommu=iommu, jit=jit, vcpus=vcpus,
+        num_queues=num_queues, interrupt_batch=interrupt_batch, guest=True)
 
     twin = TwinDriverManager(
         xen, dom0_kernel,
         upcall_routines=UPCALL_SWEEP_ORDER[:n_upcalls],
         pool_size=max(256, 96 * n_nics),
-        rx_batch_budget=rx_batch_budget,
-        tx_batch_max=tx_batch_max,
         elide=elide,
         num_queues=num_queues,
     )
@@ -357,7 +368,7 @@ def build_domU_twin(n_nics: int = 5, interrupt_batch: int = 8,
         for i in range(n_nics)
     ]
     # the guest is the running context (no switches on the twin path)
-    xen.switch_to(guest)
+    xen.switch_to(guest_kernel.domain)
 
     def tx_one(i: int, payload_len: int) -> bool:
         return devices[i].transmit(payload_len)
@@ -389,9 +400,7 @@ SCALE_MAC_PREFIX = b"\x00\x16\x3e\xab"
 
 
 def build_scale(n_guests: int = 16, vcpus: int = 4, num_queues: int = 4,
-                n_nics: int = 4, interrupt_batch: int = 8,
-                costs: Optional[CostModel] = None,
-                jit: bool = False) -> SystemUnderTest:
+                n_nics: int = 4, jit: bool = False) -> SystemUnderTest:
     """N twin guests, each with its own domain and kernel, under the
     credit scheduler on ``vcpus`` vCPUs with ``num_queues``-way RSS
     twins (ROADMAP item 1: scale to hundreds of guests).
@@ -402,57 +411,20 @@ def build_scale(n_guests: int = 16, vcpus: int = 4, num_queues: int = 4,
     spread round-robin over the NICs; drive traffic through
     ``extras["devices"]`` and the scheduler, as ``bench_scale.py``
     does."""
-    if n_guests < 1:
-        raise ValueError("need at least one guest")
-    costs = costs or CostModel()
-    machine = Machine()
-    machine.cpu.jit_enabled = jit
-    xen = Hypervisor(machine, costs=costs, vcpus=vcpus)
-    dom0 = xen.create_domain("dom0", is_dom0=True)
-    dom0_kernel = Kernel(machine, dom0, costs=costs, paravirtual=True)
-    nics = [machine.add_nic(num_queues=num_queues) for _ in range(n_nics)]
-    _apply_batch(nics, interrupt_batch)
-
+    machine, costs, xen, dom0_kernel, _, nics = _xen_host(
+        n_nics, jit=jit, vcpus=vcpus, num_queues=num_queues)
     twin = TwinDriverManager(
         xen, dom0_kernel,
-        pool_size=max(256, 16 * n_nics * interrupt_batch),
+        pool_size=max(256, 16 * n_nics * INTERRUPT_BATCH),
         num_queues=num_queues,
     )
     for nic in nics:
         twin.attach_nic(nic)
-
-    guest_kernels: List[Kernel] = []
-    devices: List[ParavirtNetDevice] = []
-    for i in range(n_guests):
-        guest = xen.create_domain(f"guest{i}")
-        kernel = Kernel(machine, guest, costs=costs, paravirtual=True)
-        guest_kernels.append(kernel)
-        devices.append(ParavirtNetDevice(
-            twin, kernel, mac=SCALE_MAC_PREFIX + i.to_bytes(2, "big")))
-
-    # round-robin cursors so the facade operations cover every guest
-    # regardless of which NIC index they are called with
-    cursor = {"tx": 0, "rx": 0}
-
-    def tx_one(i: int, payload_len: int) -> bool:
-        dev = devices[cursor["tx"] % n_guests]
-        cursor["tx"] += 1
-        return dev.transmit(payload_len)
-
-    def rx_mac(i: int) -> bytes:
-        mac = devices[cursor["rx"] % n_guests].mac
-        cursor["rx"] += 1
-        return mac
-
     return SystemUnderTest(
         name="scale", machine=machine, costs=costs, nics=nics,
-        _tx_one=tx_one,
-        _rx_mac=rx_mac,
-        _rx_count=lambda: sum(d.rx_packets for d in devices),
-        dom0_kernel=dom0_kernel,
-        guest_kernel=guest_kernels[0],
-        xen=xen, twin=twin,
-        extras={"devices": devices, "guest_kernels": guest_kernels},
+        dom0_kernel=dom0_kernel, xen=xen, twin=twin,
+        **_twin_guests(xen, twin, n_guests,
+                       lambda i: SCALE_MAC_PREFIX + i.to_bytes(2, "big")),
     )
 
 
@@ -466,8 +438,6 @@ PAIR_MAC_PREFIX = b"\x00\x16\x3e\xac\x00"
 
 def build_handover_pair(n_guests: int = 2, vcpus: int = 1,
                         num_queues: int = 1, n_nics: int = 1,
-                        interrupt_batch: int = 8,
-                        costs: Optional[CostModel] = None,
                         jit: bool = False) -> SystemUnderTest:
     """Two *live* twin instances side by side — the primary at the
     historical hypervisor VA layout, the secondary ("hyp2") at the
@@ -480,21 +450,11 @@ def build_handover_pair(n_guests: int = 2, vcpus: int = 1,
     ``extras["handover"].rehome_guest(dev, extras["secondary"])`` steer
     that guest's frames at ``extras["secondary_nics"]`` instead — as
     ``bench_handover.py`` does."""
-    if n_guests < 1:
-        raise ValueError("need at least one guest")
-    costs = costs or CostModel()
-    machine = Machine()
-    machine.cpu.jit_enabled = jit
-    xen = Hypervisor(machine, costs=costs, vcpus=vcpus)
-    dom0 = xen.create_domain("dom0", is_dom0=True)
-    dom0_kernel = Kernel(machine, dom0, costs=costs, paravirtual=True)
-    primary_nics = [machine.add_nic(num_queues=num_queues)
-                    for _ in range(n_nics)]
-    secondary_nics = [machine.add_nic(num_queues=num_queues)
-                      for _ in range(n_nics)]
-    _apply_batch(primary_nics + secondary_nics, interrupt_batch)
+    machine, costs, xen, dom0_kernel, _, nics = _xen_host(
+        2 * n_nics, jit=jit, vcpus=vcpus, num_queues=num_queues)
+    primary_nics, secondary_nics = nics[:n_nics], nics[n_nics:]
 
-    pool_size = max(256, 16 * n_nics * interrupt_batch)
+    pool_size = max(256, 16 * n_nics * INTERRUPT_BATCH)
     twin = TwinDriverManager(
         xen, dom0_kernel, pool_size=pool_size, num_queues=num_queues,
     )
@@ -509,42 +469,16 @@ def build_handover_pair(n_guests: int = 2, vcpus: int = 1,
     for nic in secondary_nics:
         secondary.attach_nic(nic)
 
-    guest_kernels: List[Kernel] = []
-    devices: List[ParavirtNetDevice] = []
-    for i in range(n_guests):
-        guest = xen.create_domain(f"guest{i}")
-        kernel = Kernel(machine, guest, costs=costs, paravirtual=True)
-        guest_kernels.append(kernel)
-        devices.append(ParavirtNetDevice(
-            twin, kernel, mac=PAIR_MAC_PREFIX + bytes([i + 1])))
-
+    guests = _twin_guests(xen, twin, n_guests,
+                          lambda i: PAIR_MAC_PREFIX + bytes([i + 1]))
     health = HealthMonitor(machine, twin=twin)
-
-    cursor = {"tx": 0, "rx": 0}
-
-    def tx_one(i: int, payload_len: int) -> bool:
-        dev = devices[cursor["tx"] % n_guests]
-        cursor["tx"] += 1
-        return dev.transmit(payload_len)
-
-    def rx_mac(i: int) -> bytes:
-        mac = devices[cursor["rx"] % n_guests].mac
-        cursor["rx"] += 1
-        return mac
-
+    guests["extras"].update(
+        secondary=secondary, secondary_nics=secondary_nics, health=health,
+        handover=HandoverManager(twin, health=health))
     return SystemUnderTest(
         name="handover-pair", machine=machine, costs=costs,
-        nics=primary_nics,
-        _tx_one=tx_one,
-        _rx_mac=rx_mac,
-        _rx_count=lambda: sum(d.rx_packets for d in devices),
-        dom0_kernel=dom0_kernel,
-        guest_kernel=guest_kernels[0],
-        xen=xen, twin=twin,
-        extras={"devices": devices, "guest_kernels": guest_kernels,
-                "secondary": secondary, "secondary_nics": secondary_nics,
-                "health": health,
-                "handover": HandoverManager(twin, health=health)},
+        nics=primary_nics, dom0_kernel=dom0_kernel, xen=xen, twin=twin,
+        **guests,
     )
 
 

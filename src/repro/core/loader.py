@@ -255,39 +255,27 @@ class HypervisorLoader:
     def load(self, rewritten, vm_module: DriverModule,
              runtime: SvmRuntime,
              support_bindings: Dict[str, int],
+             verify_report,
              upcall_factory=None,
              name: str = "hyp:e1000",
-             verify: bool = True,
-             verify_report=None,
-             annotations=None,
-             protect_stack: bool = False,
              elided_indices=()) -> HypervisorDriver:
         """``support_bindings`` maps support-routine names to hypervisor
         native addresses; anything else becomes an upcall stub via
         ``upcall_factory(name, dom0_native_addr)``.
 
-        By default the binary is statically verified before anything is
-        mapped: a caller-supplied ``verify_report`` is honoured, otherwise
-        the verifier runs here (in hostile mode unless rewriter
-        ``annotations`` are given). A binary with violations is refused
-        with :class:`~repro.analysis.report.VerificationError`; pass
-        ``verify=False`` to load unverified (tests/benchmarks only).
+        ``verify_report`` is the static verifier's report for this binary
+        (``TwinDriverManager.reverify``); a report that is not ``ok`` is
+        refused with :class:`~repro.analysis.report.VerificationError`
+        before anything is mapped. There is no unverified load.
 
         When loading an elision-transformed binary the caller must supply
         the *pre-elision* ``verify_report`` (the transformed code contains
         bare translated accesses the verifier would reject by design) plus
         the transform's ``elided_indices`` for runtime accounting."""
-        if verify:
+        if not verify_report.ok:
             # direct submodule import: safe during partial package init
             from ..analysis.report import VerificationError
-            if verify_report is None:
-                from ..analysis.verifier import verify_program
-                verify_report = verify_program(
-                    rewritten, annotations=annotations,
-                    protect_stack=protect_stack, name=name,
-                )
-            if not verify_report.ok:
-                raise VerificationError(verify_report)
+            raise VerificationError(verify_report)
         machine = self.xen.machine
         data_symbols = dict(vm_module.data_symbols)
         # data symbols point into dom0; runtime symbols into hypervisor data

@@ -68,10 +68,10 @@ CONTAINABLE_FAULTS = (DriverAborted, SvmProtectionFault, SvmMapExhausted,
 
 #: NAPI-style receive budget: packets delivered per guest per
 #: :meth:`TwinDriverManager.flush_rx` pass; leftovers are requeued and a
-#: softirq continues the flush. Overridden via ``configs.RX_BATCH_BUDGET``.
+#: softirq continues the flush. Tunable per instance (``rx_batch_budget``).
 DEFAULT_RX_BATCH_BUDGET = 64
 #: Upper bound on frames accepted per :meth:`guest_transmit_batch` call.
-#: Overridden via ``configs.TX_BATCH_MAX``.
+#: Tunable per instance (``tx_batch_max``).
 DEFAULT_TX_BATCH_MAX = 32
 
 
@@ -108,7 +108,6 @@ class TwinDriverManager:
                  protect_stack: bool = False,
                  stlb_entries: int = 4096,
                  driver: Optional[DriverSpec] = None,
-                 verify: bool = True,
                  recovery: bool = True,
                  recovery_policy: Optional[RecoveryPolicy] = None,
                  rx_batch_budget: int = DEFAULT_RX_BATCH_BUDGET,
@@ -126,7 +125,7 @@ class TwinDriverManager:
         variable-offset stack accesses). ``stlb_entries`` sizes the stlb
         hash table (the paper's is 4096 entries / 16 MiB). ``driver``
         selects which driver to twin (default: the e1000 spec).
-        ``verify`` statically verifies the rewritten binary (annotated
+        The rewritten binary is always statically verified (annotated
         mode) before the hypervisor loads it; the report is kept on
         ``self.verify_report`` next to ``self.rewrite_stats``.
         ``recovery`` (default on) arms the fault-containment subsystem:
@@ -139,9 +138,9 @@ class TwinDriverManager:
         ``elide`` enables proof-based check elision: sites the verifier's
         abstract interpretation proved to stay inside an anchor's checked
         page pair reload the anchor's stored translation instead of
-        re-running the stlb check. Requires ``verify=True`` (the proofs
-        come from the verification report); both instances load the same
-        transformed binary so ``code_offset`` stays a single constant.
+        re-running the stlb check (the proofs come from the verification
+        report); both instances load the same transformed binary so
+        ``code_offset`` stays a single constant.
         ``num_queues`` shards the receive path into N RSS queues, each
         with its own backlog, budget, lock ownership and stlb partition;
         1 (the default) reproduces the pre-SMP single-queue behaviour
@@ -181,7 +180,7 @@ class TwinDriverManager:
             stlb_entries=stlb_entries)
         # verify-then-load: the hypervisor proves the rewritten binary
         # safe before trusting it
-        self.verify_report = self.reverify("load") if verify else None
+        self.verify_report = self.reverify("load")
         # prove-then-elide: consume the verifier's proofs to drop stlb
         # re-checks on proven sites. ``self.rewritten`` stays pre-elision
         # (it is what recovery re-verifies); ``self.loadable`` is what
@@ -189,9 +188,6 @@ class TwinDriverManager:
         self.elision = None
         self.loadable = self.rewritten
         if elide:
-            if not verify or self.verify_report is None:
-                raise ValueError("elide=True requires verify=True: the "
-                                 "elision transform consumes the proofs")
             self.loadable, self.elision = apply_elision(
                 self.rewritten, self.verify_report.proofs)
 
@@ -495,8 +491,8 @@ class TwinDriverManager:
         return report
 
     def _load_hyp_instance(self, verify_report) -> None:
-        """Load the hypervisor instance at ``code_base``; a ``None``
-        report loads unverified (``verify=False``)."""
+        """Load the hypervisor instance at ``code_base`` under the
+        passing ``verify_report`` of :meth:`reverify`."""
         support_bindings = {
             name: addr for name, addr in self.hyp_support.addresses.items()
             if name not in self.upcall_routines
@@ -505,10 +501,9 @@ class TwinDriverManager:
                                   stack_base=self.stack_base)
         self.hyp_driver = loader.load(
             self.loadable, self.vm_module, self.hyp_runtime,
-            support_bindings, upcall_factory=self.upcalls.make_stub,
+            support_bindings, verify_report,
+            upcall_factory=self.upcalls.make_stub,
             name=f"{self.instance_name}:{self.driver_spec.name}",
-            verify=verify_report is not None, verify_report=verify_report,
-            protect_stack=self.protect_stack,
             elided_indices=(self.elision.elided_indices
                             if self.elision is not None else ()),
         )

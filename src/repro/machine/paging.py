@@ -10,7 +10,7 @@ hypervisor driver instance runs without an address-space switch.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .memory import OFFSET_MASK, PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
 
@@ -103,9 +103,6 @@ class AddressSpace:
         except PageFault:
             return False
 
-    def pages_mapped(self) -> Iterable[int]:
-        return (vpage << PAGE_SHIFT for vpage in self.table.entries)
-
     # -- translation -----------------------------------------------------------
 
     def translate(self, vaddr: int, write: bool = False) -> int:
@@ -122,9 +119,6 @@ class AddressSpace:
         if write and not writable:
             raise ProtectionFault(vaddr, self.name)
         return (frame << PAGE_SHIFT) | (vaddr & OFFSET_MASK)
-
-    def frame_of(self, vaddr: int) -> int:
-        return self.translate(vaddr) >> PAGE_SHIFT
 
     # -- convenience memory access (Python-side kernel code) ---------------------
 

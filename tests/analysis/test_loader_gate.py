@@ -57,15 +57,3 @@ class TestLoaderGate:
         report = exc.value.report
         assert any(f.passname == "svm" for f in report.errors)
         assert "REJECT" in report.format()
-
-    def test_verify_false_opts_out(self, monkeypatch):
-        # tests/benchmarks escape hatch: same tampered binary loads when
-        # verification is explicitly disabled
-        import repro.core.twin as twin_mod
-
-        monkeypatch.setattr(twin_mod, "rewrite_driver",
-                            tampering(twin_mod.rewrite_driver))
-        m, xen, k0 = make_parts()
-        twin = TwinDriverManager(xen, k0, verify=False)
-        assert twin.verify_report is None
-        assert twin.hyp_driver is not None

@@ -7,12 +7,15 @@
   hand-off the fast path uses and delivered exactly once on unmask.
 * Quarantine never reclaims a pool skb that is still posted in a NIC
   ring: the instance that later consumes the slot releases it, once.
+* A re-verify that fails never loads anything: the old instance stays
+  registered, and the loader refuses the report before mapping code.
 """
 
 import pytest
 
 from repro import configs
-from repro.core import RecoveryPolicy
+from repro.analysis import VerificationError, VerifyReport
+from repro.core import HypervisorLoader, RecoveryPolicy
 from repro.machine.memory import BusError
 from repro.machine.nic import REG_TDT
 
@@ -163,3 +166,43 @@ class TestOneResetList:
         assert machine.code.epoch == epoch + 2
         # the reloaded (elided) instance serves traffic again
         assert sut.transmit_packets(4) == 4
+
+
+class TestFailedReverifyNeverLoads:
+    def test_rejected_report_keeps_old_instance_and_opens_breaker(
+            self, monkeypatch):
+        # one degraded operation between attempts; only the attempt cap
+        # (not the relapse counter) may open the breaker
+        policy = RecoveryPolicy(max_reload_attempts=3, breaker_threshold=99,
+                                backoff_initial=1, backoff_multiplier=1)
+        m, xen, twin, dev, nic = make_twin(policy=policy)
+        assert dev.transmit(700)
+        rejected = VerifyReport(program_name="hyp:reload", mode="annotated")
+        rejected.add("svm", 0, "unchecked store")
+        assert not rejected.ok
+        monkeypatch.setattr("repro.analysis.verifier.verify_program",
+                            lambda *args, **kwargs: rejected)
+        driver, epoch = twin.hyp_driver, m.code.epoch
+
+        twin.svm.inject_fault()
+        r = twin.recovery
+        for _ in range(40):
+            assert dev.transmit(700)              # served degraded
+            if r.broken:
+                break
+        snap = r.counters_snapshot()
+        assert r.broken
+        assert snap["reload_attempt"] == policy.max_reload_attempts
+        assert snap["reload_failure"] == policy.max_reload_attempts
+        assert snap["reload_success"] == 0
+        assert twin.hyp_driver is driver
+        assert m.code.epoch == epoch
+
+        # the loader itself refuses the report before registering code
+        loader = HypervisorLoader(xen, twin.code_base, twin.hyp_alloc,
+                                  stack_base=twin.stack_base)
+        with pytest.raises(VerificationError) as exc:
+            loader.load(twin.loadable, twin.vm_module, twin.hyp_runtime,
+                        {}, rejected)
+        assert exc.value.report is rejected
+        assert m.code.epoch == epoch
