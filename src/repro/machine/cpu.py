@@ -28,7 +28,7 @@ from ..isa.operands import Imm, Label, Mem, Reg
 from ..isa.program import Program
 from ..isa.registers import SUBREGISTERS
 from .jit import JitState, compile_superblock
-from .memory import PhysicalMemory
+from .memory import PACK, UNPACK, PhysicalMemory
 from .paging import AddressSpace
 
 #: Return-address sentinel that terminates an invocation from Python.
@@ -37,6 +37,8 @@ SENTINEL_RETURN = 0xDEAD0000
 NATIVE_BASE = 0xFFF00000
 
 MASK32 = 0xFFFFFFFF
+
+_SIZE_MASK = {1: 0xFF, 2: 0xFFFF, 4: MASK32}
 
 
 class ExecutionFault(Exception):
@@ -360,7 +362,7 @@ class Cpu:
         self._category.pop()
 
     def charge(self, cycles: float, category: Optional[str] = None):
-        self.account.charge(category or self.category,
+        self.account.charge(category or self._category[-1],
                             int(round(cycles * self.cycle_scale)))
 
     def charge_raw(self, cycles: int, category: Optional[str] = None):
@@ -416,81 +418,60 @@ class Cpu:
 
     def read_mem(self, vaddr: int, size: int) -> int:
         vaddr &= MASK32
-        paddr = self.address_space.translate(vaddr)
-        if self.phys.mmio_region_at(paddr) is not None:
-            self.charge(self.costs.mmio)
-        else:
-            self.charge(self._mem_cost(vaddr))
-        return self._phys_access(paddr, vaddr, size, None)
+        offset = vaddr & 0xFFF
+        data = self.address_space.read_pages.get(vaddr >> 12)
+        if data is None or offset + size > 0x1000:
+            return self._mem_miss(vaddr, size, None)
+        self.charge(self._mem_cost(vaddr))
+        return UNPACK[size](data, offset)[0]
 
     def write_mem(self, vaddr: int, size: int, value: int):
         vaddr &= MASK32
-        paddr = self.address_space.translate(vaddr, write=True)
-        if self.phys.mmio_region_at(paddr) is not None:
+        offset = vaddr & 0xFFF
+        data = self.address_space.write_pages.get(vaddr >> 12)
+        if data is None or offset + size > 0x1000:
+            self._mem_miss(vaddr, size, value)
+            return
+        self.charge(self._mem_cost(vaddr))
+        PACK[size](data, offset, value & _SIZE_MASK[size])
+
+    def _mem_miss(self, vaddr: int, size: int, value: Optional[int]):
+        """An access the page cache cannot serve: translate (faults come
+        before any charge), price it as MMIO or RAM, perform it, and
+        cache the page for the next access (DESIGN.md §12)."""
+        space = self.address_space
+        write = value is not None
+        paddr = space.translate(vaddr, write)
+        region = self.phys.mmio_region_at(paddr)
+        if region is not None:
             self.charge(self.costs.mmio)
         else:
             self.charge(self._mem_cost(vaddr))
-        self._phys_access(paddr, vaddr, size, value)
-
-    def _phys_access(self, paddr: int, vaddr: int, size: int,
-                     value: Optional[int]):
-        # Handle page-straddling accesses virtually (translations of the two
-        # halves may be discontiguous).
+        if write:
+            value &= _SIZE_MASK[size]
         if (vaddr & 0xFFF) + size > 0x1000:
-            if value is None:
-                raw = self.address_space.read_bytes(vaddr, size)
-                return int.from_bytes(raw, "little")
-            self.address_space.write_bytes(
-                vaddr, (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
-            )
+            # straddles a page line: the halves' translations may be
+            # discontiguous
+            if not write:
+                return int.from_bytes(space.read_bytes(vaddr, size), "little")
+            space.write_bytes(vaddr, value.to_bytes(size, "little"))
             return None
-        if value is None:
-            return self.phys.read(paddr, size)
-        self.phys.write(paddr, size, value)
+        if region is not None:
+            if not write:
+                return region.device.mmio_read(paddr - region.start, size)
+            region.device.mmio_write(paddr - region.start, size, value)
+            return None
+        data = space.cache_page(vaddr, paddr, write)
+        if data is None:
+            # unallocated (BusError) or RAM sharing its page with MMIO
+            if not write:
+                return self.phys.read(paddr, size)
+            self.phys.write(paddr, size, value)
+            return None
+        if not write:
+            return UNPACK[size](data, paddr & 0xFFF)[0]
+        PACK[size](data, paddr & 0xFFF, value)
         return None
-
-    # -- operand evaluation ----------------------------------------------------------
-
-    def effective_address(self, mem: Mem) -> int:
-        if mem.symbol is not None:
-            raise UnresolvedSymbol(
-                f"unresolved data symbol {mem.symbol!r} at execution"
-            )
-        addr = mem.disp
-        if mem.base is not None:
-            addr += self.get_reg(mem.base)
-        if mem.index is not None:
-            addr += self.get_reg(mem.index) * mem.scale
-        return addr & MASK32
-
-    def read_operand(self, op, size: int) -> int:
-        if isinstance(op, Imm):
-            if op.symbol is not None:
-                raise UnresolvedSymbol(
-                    f"unresolved immediate symbol {op.symbol!r}"
-                )
-            return op.value & ((1 << (size * 8)) - 1)
-        if isinstance(op, Reg):
-            return self.get_reg(op.name) & ((1 << (size * 8)) - 1)
-        if isinstance(op, Mem):
-            return self.read_mem(self.effective_address(op), size)
-        raise ExecutionFault(f"cannot read operand {op!r}")
-
-    def write_operand(self, op, size: int, value: int):
-        if isinstance(op, Reg):
-            if size == 4 or op.name not in self.regs:
-                self.set_reg(op.name, value & ((1 << (size * 8)) - 1))
-            else:
-                # e.g. "movb $1, %eax" is rejected at parse; partial writes
-                # to full registers only happen via sub-register names.
-                masked = value & ((1 << (size * 8)) - 1)
-                current = self.regs[op.name]
-                self.regs[op.name] = (current & ~((1 << (size * 8)) - 1)) | masked
-            return
-        if isinstance(op, Mem):
-            self.write_mem(self.effective_address(op), size, value)
-            return
-        raise ExecutionFault(f"cannot write operand {op!r}")
 
     # -- flags ------------------------------------------------------------------------
 
@@ -842,7 +823,7 @@ def _ea_thunk(mem: Mem) -> Callable[[Cpu], int]:
 
 
 def _read_thunk(op, size: int) -> Callable[[Cpu], int]:
-    """Compile an operand read (mirrors ``Cpu.read_operand``)."""
+    """Compile an operand read: immediate, register, or ``read_mem``."""
     mask = (1 << (size * 8)) - 1
     if isinstance(op, Imm):
         if op.symbol is not None:
@@ -870,7 +851,8 @@ def _read_thunk(op, size: int) -> Callable[[Cpu], int]:
 
 
 def _write_thunk(op, size: int) -> Callable[[Cpu, int], None]:
-    """Compile an operand write (mirrors ``Cpu.write_operand``)."""
+    """Compile an operand write: register (full, partial or
+    sub-register) or ``write_mem``."""
     mask = (1 << (size * 8)) - 1
     if isinstance(op, Reg):
         name = op.name

@@ -55,12 +55,12 @@ executes it from an architecturally clean state.
 
 from __future__ import annotations
 
-from struct import Struct
 from typing import Dict, List, Optional
 
 from ..isa.instructions import Instruction
 from ..isa.operands import Imm, Mem, Reg
 from ..isa.registers import SUBREGISTERS
+from .memory import PACK, UNPACK
 
 MASK32 = 0xFFFFFFFF
 
@@ -71,13 +71,9 @@ MAX_TRACE_INSTRS = 512
 LOOP_CAP = 1024
 
 #: little-endian accessors baked into every superblock namespace for the
-#: inline RAM fast path (one frame-dict ``get`` + one struct call).
-_MEM_HELPERS = {
-    "u2": Struct("<H").unpack_from,
-    "u4": Struct("<I").unpack_from,
-    "p2": Struct("<H").pack_into,
-    "p4": Struct("<I").pack_into,
-}
+#: inline RAM fast path (one page-cache ``get`` + one struct call).
+_MEM_HELPERS = {"u2": UNPACK[2], "u4": UNPACK[4],
+                "p2": PACK[2], "p4": PACK[4]}
 
 _FULL_REGS = frozenset(
     ("eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi"))
@@ -265,17 +261,15 @@ class _Emitter:
         self.emit("return", ind)
 
     def rehoist(self, ind: int = 0):
-        """Re-read translation state after anything that can run model
-        code (a native, a hook, an MMIO dispatch): an upcall may have
-        switched ``cpu.address_space``, and any of them may have
-        remapped pages, so the micro-TLB is dropped. Forces the memory
-        hoists on: later memory ops in the trace depend on the re-read
-        even when none were emitted yet."""
+        """Re-read the page caches after anything that can run model code
+        (a native, a hook, a missed access that may have been MMIO): an
+        upcall may have switched ``cpu.address_space``. Remapping needs
+        nothing here — the caches are invalidated in place by whoever
+        remaps. Forces the memory hoists on: later memory ops in the
+        trace depend on the re-read even when none were emitted yet."""
         self.uses_mem = True
-        self.emit("trans = cpu.address_space.translate", ind)
-        self.emit("asr = cpu.address_space.read_bytes", ind)
-        self.emit("asw = cpu.address_space.write_bytes", ind)
-        self.emit("tlb.clear()", ind)
+        self.emit("rp = cpu.address_space.read_pages", ind)
+        self.emit("wp = cpu.address_space.write_pages", ind)
 
     def native_guard(self, next_addr: int, ind: int = 0):
         """After a mid-trace native call or delegated handler: bail to
@@ -359,152 +353,52 @@ class _Emitter:
         self.emit(f"acc += {c}", ind)
         self.acc_dirty = True
 
-    def _ram_read(self, va: str, pa: str, v: str, d: str, size: int,
-                  pa_expr: Optional[str], ind: int):
-        """RAM access body: unpack straight out of the frame bytearray
-        (one dict ``get`` + one ``Struct`` call); ``pr`` remains the
-        fallback for unallocated frames (BusError). ``pa_expr`` (TLB
-        hit) defers the physical address to the non-straddle branch."""
-        if size > 1:
-            self.emit(f"if ({va} & 4095) + {size} > 4096:", ind)
-            self.emit(
-                f"{v} = int.from_bytes(asr({va}, {size}), 'little')",
-                ind + 1)
-            self.emit("else:", ind)
-            if pa_expr is not None:
-                self.emit(f"{pa} = {pa_expr}", ind + 1)
-            self.emit(f"{d} = fget({pa} >> 12)", ind + 1)
-            un = "u2" if size == 2 else "u4"
-            self.emit(
-                f"{v} = {un}({d}, {pa} & 4095)[0] "
-                f"if {d} is not None else pr({pa}, {size})", ind + 1)
-        else:
-            if pa_expr is not None:
-                self.emit(f"{pa} = {pa_expr}", ind)
-            self.emit(f"{d} = fget({pa} >> 12)", ind)
-            self.emit(
-                f"{v} = {d}[{pa} & 4095] "
-                f"if {d} is not None else pr({pa}, 1)", ind)
+    def mem_access(self, ea: str, size: int, value: Optional[str],
+                   next_addr: int, ind: int) -> str:
+        """Inline ``Cpu.read_mem`` (``value`` None) or ``Cpu.write_mem``.
 
-    def mem_read(self, ea: str, size: int, next_addr: int,
-                 ind: int = 0) -> str:
-        """Inline ``Cpu.read_mem``; returns the value variable.
-
-        Repeat translations of a page are served by the per-entry
-        micro-TLB ``tlb`` (vpage -> frame base, read and write keys
-        disjoint). Only pages whose physical page intersects no MMIO
-        region are cached, so a hit is always plain RAM; the TLB is
-        dropped at every point model code can run (:meth:`rehoist`).
-        Faults keep interpreter semantics: a miss calls ``trans``
-        (PageFault / ProtectionFault) with state already synced."""
+        A hit in the address space's page cache (``rp``/``wp``, shared
+        with the interpreter) is priced and accessed in place, one dict
+        ``get`` plus one ``Struct`` call. A miss or a page-straddling
+        access flushes the accumulator (the access may be MMIO, which
+        observes the clock) and runs the interpreter's method, which
+        translates, faults, dispatches and fills the cache with state
+        already synced."""
         self.uses_mem = True
         self.sync(next_addr, ind)
         va = self.temp("va")
-        pa = self.temp("pa")
-        v = self.temp("v")
         d = self.temp("d")
-        e = self.temp("e")
+        v = self.temp("v")
         self.emit(f"{va} = {ea}", ind)
-        self.emit(f"{e} = tlb.get({va} >> 12)", ind)
-        self.emit(f"if {e} is not None:", ind)
-        self.emit_cost(va, ind + 1)
-        self._ram_read(va, pa, v, d, size,
-                       pa_expr=f"{e} + ({va} & 4095)", ind=ind + 1)
-        self.emit("else:", ind)
-        self.emit(f"{pa} = trans({va})", ind + 1)
-        self.emit(f"if mio({pa}) is None:", ind + 1)
-        self.emit(f"if not mpg({pa} >> 12):", ind + 2)
-        self.emit(f"tlb[{va} >> 12] = {pa} - ({va} & 4095)", ind + 3)
-        self.emit_cost(va, ind + 2)
-        self._ram_read(va, pa, v, d, size, pa_expr=None, ind=ind + 2)
-        self.emit("else:", ind + 1)
-        self.emit(f"acc += {self.scaled(self.costs.mmio)}", ind + 2)
-        self.emit("charge(cat, acc)", ind + 2)
-        self.emit("acc = 0", ind + 2)
+        self.emit(f"{d} = {'rp' if value is None else 'wp'}.get({va} >> 12)",
+                  ind)
         if size > 1:
-            self.emit(f"if ({va} & 4095) + {size} > 4096:", ind + 2)
-            self.emit(
-                f"{v} = int.from_bytes(asr({va}, {size}), 'little')",
-                ind + 3)
-            self.emit("else:", ind + 2)
-            self.emit(f"{v} = pr({pa}, {size})", ind + 3)
+            self.emit(f"if {d} is not None and ({va} & 4095) <= "
+                      f"{4096 - size}:", ind)
         else:
-            self.emit(f"{v} = pr({pa}, 1)", ind + 2)
-        # the device model may have re-entered the kernel and remapped
-        # pages or switched address spaces
-        self.rehoist(ind + 2)
+            self.emit(f"if {d} is not None:", ind)
+        self.emit_cost(va, ind + 1)
+        mask = (1 << (size * 8)) - 1
+        if value is None and size == 1:
+            self.emit(f"{v} = {d}[{va} & 4095]", ind + 1)
+        elif value is None:
+            un = "u2" if size == 2 else "u4"
+            self.emit(f"{v} = {un}({d}, {va} & 4095)[0]", ind + 1)
+        elif size == 1:
+            self.emit(f"{d}[{va} & 4095] = ({value}) & 255", ind + 1)
+        else:
+            pk = "p2" if size == 2 else "p4"
+            self.emit(f"{pk}({d}, {va} & 4095, ({value}) & {mask})", ind + 1)
+        self.emit("else:", ind)
+        self.emit("charge(cat, acc)", ind + 1)
+        self.emit("acc = 0", ind + 1)
+        if value is None:
+            self.emit(f"{v} = rm({va}, {size})", ind + 1)
+        else:
+            self.emit(f"wm({va}, {size}, {value})", ind + 1)
+        self.rehoist(ind + 1)
         self.acc_dirty = True        # branches disagree; finally covers it
         return v
-
-    def _ram_write(self, va: str, pa: str, d: str, value: str, size: int,
-                   pa_expr: Optional[str], ind: int):
-        """RAM write body: pack straight into the frame bytearray."""
-        mask = (1 << (size * 8)) - 1
-        if size > 1:
-            self.emit(f"if ({va} & 4095) + {size} > 4096:", ind)
-            self.emit(
-                f"asw({va}, (({value}) & {mask}).to_bytes({size}, "
-                f"'little'))", ind + 1)
-            self.emit("else:", ind)
-            if pa_expr is not None:
-                self.emit(f"{pa} = {pa_expr}", ind + 1)
-            self.emit(f"{d} = fget({pa} >> 12)", ind + 1)
-            self.emit(f"if {d} is None:", ind + 1)
-            self.emit(f"pw({pa}, {size}, {value})", ind + 2)
-            self.emit("else:", ind + 1)
-            pk = "p2" if size == 2 else "p4"
-            self.emit(f"{pk}({d}, {pa} & 4095, ({value}) & {mask})",
-                      ind + 2)
-        else:
-            if pa_expr is not None:
-                self.emit(f"{pa} = {pa_expr}", ind)
-            self.emit(f"{d} = fget({pa} >> 12)", ind)
-            self.emit(f"if {d} is None:", ind)
-            self.emit(f"pw({pa}, 1, {value})", ind + 1)
-            self.emit("else:", ind)
-            self.emit(f"{d}[{pa} & 4095] = ({value}) & 255", ind + 1)
-
-    def mem_write(self, ea: str, size: int, value: str, next_addr: int,
-                  ind: int = 0):
-        """Inline ``Cpu.write_mem``: micro-TLB (write keys offset by
-        ``2**20``, so read permission never satisfies a write) and the
-        packed RAM fast path, mirroring :meth:`mem_read`."""
-        self.uses_mem = True
-        self.sync(next_addr, ind)
-        va = self.temp("va")
-        pa = self.temp("pa")
-        d = self.temp("d")
-        e = self.temp("e")
-        mask = (1 << (size * 8)) - 1
-        self.emit(f"{va} = {ea}", ind)
-        self.emit(f"{e} = tlb.get(({va} >> 12) + 1048576)", ind)
-        self.emit(f"if {e} is not None:", ind)
-        self.emit_cost(va, ind + 1)
-        self._ram_write(va, pa, d, value, size,
-                        pa_expr=f"{e} + ({va} & 4095)", ind=ind + 1)
-        self.emit("else:", ind)
-        self.emit(f"{pa} = trans({va}, True)", ind + 1)
-        self.emit(f"if mio({pa}) is None:", ind + 1)
-        self.emit(f"if not mpg({pa} >> 12):", ind + 2)
-        self.emit(f"tlb[({va} >> 12) + 1048576] = {pa} - ({va} & 4095)",
-                  ind + 3)
-        self.emit_cost(va, ind + 2)
-        self._ram_write(va, pa, d, value, size, pa_expr=None, ind=ind + 2)
-        self.emit("else:", ind + 1)
-        self.emit(f"acc += {self.scaled(self.costs.mmio)}", ind + 2)
-        self.emit("charge(cat, acc)", ind + 2)
-        self.emit("acc = 0", ind + 2)
-        if size > 1:
-            self.emit(f"if ({va} & 4095) + {size} > 4096:", ind + 2)
-            self.emit(
-                f"asw({va}, (({value}) & {mask}).to_bytes({size}, "
-                f"'little'))", ind + 3)
-            self.emit("else:", ind + 2)
-            self.emit(f"pw({pa}, {size}, {value})", ind + 3)
-        else:
-            self.emit(f"pw({pa}, 1, {value})", ind + 2)
-        self.rehoist(ind + 2)
-        self.acc_dirty = True
 
     # -- operand read/write (mirrors the PR 4 thunks) ------------------------
 
@@ -518,7 +412,8 @@ class _Emitter:
         if isinstance(op, Reg):
             return self.reg_read(op.name, size)
         if isinstance(op, Mem):
-            return self.mem_read(self.ea_expr(op), size, next_addr, ind)
+            return self.mem_access(self.ea_expr(op), size, None, next_addr,
+                                   ind)
         raise _Unsupported(f"unreadable operand {op!r}")
 
     def as_var(self, expr: str, ind: int = 0) -> str:
@@ -535,7 +430,7 @@ class _Emitter:
             self.reg_write(op.name, size, value, ind)
             return
         if isinstance(op, Mem):
-            self.mem_write(self.ea_expr(op), size, value, next_addr, ind)
+            self.mem_access(self.ea_expr(op), size, value, next_addr, ind)
             return
         raise _Unsupported(f"unwritable operand {op!r}")
 
@@ -853,10 +748,10 @@ class _Emitter:
         sp = self.temp("sp")
         self.emit(f"{sp} = (r['esp'] - 4) & {MASK32}", ind)
         self.emit(f"r['esp'] = {sp}", ind)
-        self.mem_write(sp, 4, value, next_addr, ind)
+        self.mem_access(sp, 4, value, next_addr, ind)
 
     def emit_pop(self, next_addr: int, ind: int = 0) -> str:
-        v = self.mem_read("r['esp']", 4, next_addr, ind)
+        v = self.mem_access("r['esp']", 4, None, next_addr, ind)
         self.emit(f"r['esp'] = (r['esp'] + 4) & {MASK32}", ind)
         return v
 
@@ -970,16 +865,11 @@ class _Emitter:
         ]
         if self.uses_mem:
             prologue += [
-                "trans = cpu.address_space.translate",
-                "asr = cpu.address_space.read_bytes",
-                "asw = cpu.address_space.write_bytes",
-                "pr = cpu.phys.read",
-                "pw = cpu.phys.write",
-                "mio = cpu.phys.mmio_region_at",
-                "mpg = cpu.phys._mmio_pages.get",
-                "fget = cpu.phys._frames.get",
+                "rp = cpu.address_space.read_pages",
+                "wp = cpu.address_space.write_pages",
+                "rm = cpu.read_mem",
+                "wm = cpu.write_mem",
                 "hr = cpu.hot_ranges",
-                "tlb = {}",
             ]
         if self.uses_natives or self.ns:
             prologue += [

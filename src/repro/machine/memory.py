@@ -12,12 +12,20 @@ exactly how the driver's register reads/writes reach our e1000 model.
 
 from __future__ import annotations
 
+from struct import Struct
 from typing import Dict, List, Optional, Tuple
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = ~(PAGE_SIZE - 1) & 0xFFFFFFFF
 OFFSET_MASK = PAGE_SIZE - 1
+
+#: little-endian accessors by access size, for the CPU's RAM fast path
+#: (unpack/pack straight in a cached frame's bytearray)
+UNPACK = {1: Struct("<B").unpack_from, 2: Struct("<H").unpack_from,
+          4: Struct("<I").unpack_from}
+PACK = {1: Struct("<B").pack_into, 2: Struct("<H").pack_into,
+        4: Struct("<I").pack_into}
 
 
 class BusError(Exception):
@@ -52,11 +60,16 @@ class PhysicalMemory:
         #: empty), filled lazily; regions are only ever added, so the
         #: cache is simply cleared on registration.
         self._mmio_pages: Dict[int, Tuple[MMIORegion, ...]] = {}
+        #: address spaces over this memory; their page caches are
+        #: dropped when an MMIO region appears (DESIGN.md §12).
+        self.spaces: list = []
 
     # -- allocation --------------------------------------------------------------
 
     def allocate_frame(self) -> int:
-        """Allocate one zeroed frame, returning its frame number."""
+        """Allocate one zeroed frame, returning its frame number. The only
+        writer of ``_frames``: a frame's bytearray is never replaced or
+        freed, which is what lets address spaces cache it."""
         if self._next_frame >= self.max_frames:
             raise MemoryError("physical memory exhausted")
         frame = self._next_frame
@@ -79,20 +92,32 @@ class PhysicalMemory:
                 raise ValueError("overlapping MMIO regions")
         self._mmio.append(region)
         self._mmio_pages.clear()
+        for space in self.spaces:
+            space.read_pages.clear()
+            space.write_pages.clear()
         return region
 
-    def mmio_region_at(self, paddr: int) -> Optional[MMIORegion]:
-        page = paddr >> PAGE_SHIFT
+    def _regions_on(self, page: int) -> Tuple[MMIORegion, ...]:
         regions = self._mmio_pages.get(page)
         if regions is None:
             base = page << PAGE_SHIFT
             regions = tuple(r for r in self._mmio
                             if r.start < base + PAGE_SIZE and base < r.end)
             self._mmio_pages[page] = regions
-        for region in regions:
+        return regions
+
+    def mmio_region_at(self, paddr: int) -> Optional[MMIORegion]:
+        for region in self._regions_on(paddr >> PAGE_SHIFT):
             if region.contains(paddr):
                 return region
         return None
+
+    def ram_frame(self, frame: int) -> Optional[bytearray]:
+        """The bytes of ``frame`` if it is allocated RAM that no MMIO
+        region touches — the frames an address space may cache."""
+        if self._regions_on(frame):
+            return None
+        return self._frames.get(frame)
 
     # -- access ------------------------------------------------------------------
 

@@ -10,7 +10,7 @@ hypervisor driver instance runs without an address-space switch.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .memory import OFFSET_MASK, PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
 
@@ -48,12 +48,25 @@ class PageTable:
 
     def __init__(self):
         self.entries: Dict[int, Tuple[int, bool]] = {}
+        #: address spaces translating through this table (the hypervisor
+        #: table is shared by all of them); every mapping change drops
+        #: the page from their caches.
+        self.spaces: List["AddressSpace"] = []
 
     def map(self, vpage: int, frame: int, writable: bool = True):
         self.entries[vpage] = (frame, writable)
+        self._invalidate(vpage)
 
     def unmap(self, vpage: int):
         self.entries.pop(vpage, None)
+        self._invalidate(vpage)
+
+    def _invalidate(self, vpage: int):
+        for space in self.spaces:
+            # write_pages only ever holds pages read_pages holds too
+            if vpage in space.read_pages:
+                del space.read_pages[vpage]
+                space.write_pages.pop(vpage, None)
 
     def lookup(self, vpage: int) -> Optional[Tuple[int, bool]]:
         return self.entries.get(vpage)
@@ -67,6 +80,10 @@ class AddressSpace:
 
     ``hypervisor_table`` (if given) services translations at or above
     ``HYPERVISOR_BASE``; per-domain mappings may not be created there.
+
+    ``read_pages``/``write_pages`` cache ``vpage -> frame bytes`` for the
+    CPU's RAM fast path (DESIGN.md §12). They are only ever cleared in
+    place, never rebound, so a superblock may hold on to them.
     """
 
     def __init__(self, name: str, phys: PhysicalMemory,
@@ -75,6 +92,12 @@ class AddressSpace:
         self.phys = phys
         self.table = PageTable()
         self.hypervisor_table = hypervisor_table
+        self.read_pages: Dict[int, bytearray] = {}
+        self.write_pages: Dict[int, bytearray] = {}
+        self.table.spaces.append(self)
+        if hypervisor_table is not None:
+            hypervisor_table.spaces.append(self)
+        phys.spaces.append(self)
 
     # -- mapping -------------------------------------------------------------
 
@@ -120,9 +143,25 @@ class AddressSpace:
             raise ProtectionFault(vaddr, self.name)
         return (frame << PAGE_SHIFT) | (vaddr & OFFSET_MASK)
 
+    # -- page cache ----------------------------------------------------------------
+
+    def cache_page(self, vaddr: int, paddr: int,
+                   write: bool) -> Optional[bytearray]:
+        """Cache the frame behind a translation of ``vaddr`` to ``paddr``
+        that just succeeded (``write``: it was checked for writing).
+        Returns the frame's bytes, or None for frames that must not be
+        cached: unallocated ones and those sharing a page with MMIO."""
+        data = self.phys.ram_frame(paddr >> PAGE_SHIFT)
+        if data is not None:
+            vpage = vaddr >> PAGE_SHIFT
+            self.read_pages[vpage] = data
+            if write:
+                self.write_pages[vpage] = data
+        return data
+
     # -- convenience memory access (Python-side kernel code) ---------------------
 
-    def read(self, vaddr: int, size: int, write_check: bool = False) -> int:
+    def read(self, vaddr: int, size: int) -> int:
         return self._access(vaddr, size, None)
 
     def write(self, vaddr: int, size: int, value: int):

@@ -213,3 +213,46 @@ def test_fault_mid_superblock(spec, bad_call):
     off, on = run(False), run(True)
     assert off == on
     assert off[1]                       # the fault actually fired
+
+
+@settings(max_examples=20, deadline=None)
+@given(_programs, st.integers(1, 8), st.integers(0, 3))
+def test_remap_mid_superblock(spec, remap_at, page):
+    # a native moves one data page to a fresh frame in the middle of a
+    # hot loop: cached translations in both engines must follow it
+    blocks, guards, iters = spec
+    source = _build_source(blocks, guards, iters, extra="    call remap")
+
+    def remap_factory(m):
+        state = {"n": 0}
+
+        def remap(cpu):
+            state["n"] += 1
+            if state["n"] == remap_at:
+                vaddr = DATA + page * 4096
+                cpu.address_space.unmap_page(vaddr)
+                cpu.address_space.map_page(vaddr, m.phys.allocate_frame())
+            return None
+        return remap
+
+    def run(jit):
+        m, space = _make_machine(jit)
+        m.register_native("remap", remap_factory(m))
+        loaded = m.load_program(assemble(source), BASE, extern={
+            "remap": m.natives.address_of("remap")})
+        results, errors = [], []
+        for _ in range(4):
+            m.cpu.regs["ebx"] = DATA
+            try:
+                results.append(m.cpu.call_function(
+                    loaded.symbol("f"), [], stack_top=STACK_TOP))
+            except Exception as exc:  # noqa: BLE001 - compared structurally
+                errors.append((type(exc).__name__, str(exc)))
+        frames = []
+        frame = 1
+        while m.phys.frame_allocated(frame):
+            frames.append(m.phys.read_bytes(frame << 12, 4096))
+            frame += 1
+        return _observe(m, space, results, errors), frames
+
+    assert run(False) == run(True)
