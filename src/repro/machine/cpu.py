@@ -321,9 +321,11 @@ class Cpu:
         self._category: List[str] = ["dom0"]
         self.executed = 0
         self.max_steps_per_call = 5_000_000
-        #: virtual-address ranges treated as cache-hot (stacks, stlb).
-        self.hot_ranges: List[Tuple[int, int]] = []
-        #: multiplies interpreter cycle charges (driver-speed calibration).
+        #: cache-hot virtual ranges (stacks, stlb), kept per page:
+        #: vpage -> the hot ``(lo, hi)`` intervals clipped to that page.
+        self.hot_pages: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        #: multiplies interpreter cycle charges (driver-speed calibration);
+        #: setting it reprices the pre-scaled ``_c_*`` costs below.
         self.cycle_scale = 1.0
         #: bumped whenever the hypervisor rotates the active vCPU; JIT
         #: superblock world guards compare it so a mid-trace vCPU change
@@ -334,8 +336,8 @@ class Cpu:
         #: cycle-attribution profiler (set by Machine); None for bare
         #: test CPUs. Guarded exactly like the tracer on hot paths.
         self.profiler = None
-        #: (LoadedProgram, registry-epoch) of the last fetch — straight-line
-        #: execution skips the registry bisect entirely.
+        #: (LoadedProgram, registry-epoch) of the dispatch loop's current
+        #: program, read by ``jit_stats``.
         self._prog_cache: Optional[Tuple[LoadedProgram, int]] = None
         #: trace-JIT (superblock compilation): off by default, enabled
         #: per-configuration via ``configs.build(..., jit=True)``.
@@ -350,8 +352,24 @@ class Cpu:
     # -- accounting ----------------------------------------------------------
 
     @property
-    def category(self) -> str:
-        return self._category[-1]
+    def cycle_scale(self) -> float:
+        return self._cycle_scale
+
+    @cycle_scale.setter
+    def cycle_scale(self, scale: float):
+        """Set the scale and reprice every per-class cost the dispatch
+        loop and memory paths charge directly. Each is rounded on its
+        own, exactly as ``charge`` rounds each charge."""
+        self._cycle_scale = scale
+        c = self.costs
+        self._c_alu = int(round(c.alu * scale))
+        self._c_mem = int(round(c.mem * scale))
+        self._c_mem_hot = int(round(c.mem_hot * scale))
+        self._c_call = int(round(c.call * scale))
+        self._c_ret = int(round(c.ret * scale))
+        self._c_mmio = int(round(c.mmio * scale))
+        self._c_string = int(round(c.string_per_unit * scale))
+        self._c_native = int(round(c.native_call * scale))
 
     def push_category(self, category: str):
         self._category.append(category)
@@ -362,12 +380,14 @@ class Cpu:
         self._category.pop()
 
     def charge(self, cycles: float, category: Optional[str] = None):
+        """Charge scaled cycles (natives and kernel models; the
+        interpreter's own hot paths charge pre-scaled costs directly)."""
         self.account.charge(category or self._category[-1],
-                            int(round(cycles * self.cycle_scale)))
+                            int(round(cycles * self._cycle_scale)))
 
     def charge_raw(self, cycles: int, category: Optional[str] = None):
         """Charge un-scaled cycles (used by modelled kernel costs)."""
-        self.account.charge(category or self.category, int(cycles))
+        self.account.charge(category or self._category[-1], int(cycles))
 
     # -- registers -------------------------------------------------------------
 
@@ -407,14 +427,17 @@ class Cpu:
     # -- memory -------------------------------------------------------------------
 
     def add_hot_range(self, lo: int, hi: int):
-        if (lo, hi) not in self.hot_ranges:
-            self.hot_ranges.append((lo, hi))
+        """Price RAM accesses in ``[lo, hi)`` at ``mem_hot``. The range is
+        split at page lines so an access tests only its own page."""
+        for vpage in range(lo >> 12, ((hi - 1) >> 12) + 1):
+            part = (max(lo, vpage << 12), min(hi, (vpage + 1) << 12))
+            spans = self.hot_pages.get(vpage, ())
+            if part not in spans:
+                self.hot_pages[vpage] = spans + (part,)
 
-    def _mem_cost(self, vaddr: int) -> int:
-        for lo, hi in self.hot_ranges:
-            if lo <= vaddr < hi:
-                return self.costs.mem_hot
-        return self.costs.mem
+    # RAM accesses cost ``_c_mem_hot`` inside a hot range, ``_c_mem``
+    # elsewhere; the test is written out on each path because it runs on
+    # every access (the JIT inlines the same test).
 
     def read_mem(self, vaddr: int, size: int) -> int:
         vaddr &= MASK32
@@ -422,7 +445,12 @@ class Cpu:
         data = self.address_space.read_pages.get(vaddr >> 12)
         if data is None or offset + size > 0x1000:
             return self._mem_miss(vaddr, size, None)
-        self.charge(self._mem_cost(vaddr))
+        cost = self._c_mem
+        for lo, hi in self.hot_pages.get(vaddr >> 12, ()):
+            if lo <= vaddr < hi:
+                cost = self._c_mem_hot
+                break
+        self.account.charge(self._category[-1], cost)
         return UNPACK[size](data, offset)[0]
 
     def write_mem(self, vaddr: int, size: int, value: int):
@@ -432,7 +460,12 @@ class Cpu:
         if data is None or offset + size > 0x1000:
             self._mem_miss(vaddr, size, value)
             return
-        self.charge(self._mem_cost(vaddr))
+        cost = self._c_mem
+        for lo, hi in self.hot_pages.get(vaddr >> 12, ()):
+            if lo <= vaddr < hi:
+                cost = self._c_mem_hot
+                break
+        self.account.charge(self._category[-1], cost)
         PACK[size](data, offset, value & _SIZE_MASK[size])
 
     def _mem_miss(self, vaddr: int, size: int, value: Optional[int]):
@@ -444,9 +477,14 @@ class Cpu:
         paddr = space.translate(vaddr, write)
         region = self.phys.mmio_region_at(paddr)
         if region is not None:
-            self.charge(self.costs.mmio)
+            cost = self._c_mmio
         else:
-            self.charge(self._mem_cost(vaddr))
+            cost = self._c_mem
+            for lo, hi in self.hot_pages.get(vaddr >> 12, ()):
+                if lo <= vaddr < hi:
+                    cost = self._c_mem_hot
+                    break
+        self.account.charge(self._category[-1], cost)
         if write:
             value &= _SIZE_MASK[size]
         if (vaddr & 0xFFF) + size > 0x1000:
@@ -567,76 +605,85 @@ class Cpu:
             self.eip = saved_eip
 
     def _run_loop(self):
-        if self.jit_enabled:
-            self._run_loop_jit()
-            return
-        budget = self.max_steps_per_call
-        steps = 0
-        while self.eip != SENTINEL_RETURN:
-            self.step()
-            steps += 1
-            if steps > budget:
-                raise CpuBudgetExceeded(
-                    f"driver executed more than {budget} instructions"
-                )
+        """The dispatch loop, for both engines, until the invocation's
+        sentinel return address comes back.
 
-    def _run_loop_jit(self):
-        """The superblock dispatcher. Hot block heads are counted and
-        promoted to compiled traces; everything else (cold code, heads
-        under a charge shadow or a changed cycle scale, blacklisted
-        heads) falls back to ``step()``, whose behaviour defines
-        correctness. The budget is measured in executed instructions,
-        like the interpreter loop's step count."""
+        The current program's tables live in locals; the registry is
+        consulted only when ``eip`` leaves the program or the registry
+        epoch moves (``lookup`` raises the unmapped and mid-instruction
+        faults). Each instruction advances ``eip`` to its fall-through,
+        charges the base ALU cost at that pc, then runs its compiled
+        handler, which is the reference semantics. With the JIT on, hot
+        block heads are counted and promoted to superblocks, which run
+        only with no charge shadow on the account and at the scale they
+        were compiled for; cold, blacklisted or shadowed heads take the
+        handler path. The budget counts executed instructions, nested
+        invocations included, for both engines."""
         budget = self.max_steps_per_call
-        start = self.executed
+        limit = self.executed + budget
         code = self.code
+        account = self.account
+        category = self._category
+        jit = self.jit_enabled
         threshold = self.jit_threshold
-        account_dict = self.account.__dict__
+        account_dict = account.__dict__
+        epoch = -1
+        base = end = 0
         while True:
             eip = self.eip
             if eip == SENTINEL_RETURN:
                 return
-            loaded = None
-            cache = self._prog_cache
-            if cache is not None and cache[1] == code.epoch:
-                candidate = cache[0]
-                if candidate.base <= eip < candidate.end:
-                    loaded = candidate
-            if loaded is None:
-                # registry miss/stale: step() re-resolves (and raises
-                # the right fault for unmapped/native addresses)
-                self.step()
+            if base <= eip < end and code.epoch == epoch:
+                index = addr_to_index.get(eip)
+                if index is None:
+                    code.lookup(eip)
             else:
-                js = loaded.jit_state(code.epoch)
-                sb = js.superblocks.get(eip)
+                loaded, index = code.lookup(eip)
+                epoch = code.epoch
+                self._prog_cache = (loaded, epoch)
+                base, end = loaded.base, loaded.end
+                addr_to_index = loaded.addr_to_index
+                next_addrs = loaded.next_addrs
+                handlers = loaded.handlers
+                if jit:
+                    js = loaded.jit_state(epoch)
+                    superblocks, counts = js.superblocks, js.counts
+                    leaders = js.leaders
+            if jit:
+                sb = superblocks.get(eip)
                 if sb is None:
-                    if eip in js.leaders:
-                        count = js.counts.get(eip, 0) + 1
-                        if count >= threshold:
+                    if eip in leaders:
+                        count = counts.get(eip, 0) + 1
+                        if count < threshold:
+                            counts[eip] = count
+                        else:
                             compiled = compile_superblock(self, loaded, eip)
-                            js.counts.pop(eip, None)
-                            if compiled is None:
-                                js.superblocks[eip] = False
-                                self.jit_blacklisted += 1
-                            else:
-                                js.superblocks[eip] = compiled
+                            counts.pop(eip, None)
+                            if compiled is not None:
+                                superblocks[eip] = compiled
                                 self.jit_compiles += 1
                                 continue
-                        else:
-                            js.counts[eip] = count
-                    self.step()
-                elif sb is False:
-                    self.step()
-                elif ("charge" not in account_dict
-                        and sb.scale == self.cycle_scale):
+                            superblocks[eip] = False
+                            self.jit_blacklisted += 1
+                elif (sb is not False and "charge" not in account_dict
+                        and sb.scale == self._cycle_scale):
                     sb.entries += 1
                     sb.fn(self)
-                else:
-                    self.step()
-            if self.executed - start > budget:
+                    if self.executed > limit:
+                        raise CpuBudgetExceeded(
+                            f"driver executed more than {budget} "
+                            f"instructions")
+                    continue
+            self.executed += 1
+            self.eip = next_addrs[index]
+            handler = handlers[index]
+            if handler is None:
+                handler = _handler_for(loaded, index)
+            account.charge(category[-1], self._c_alu)
+            handler(self)
+            if self.executed > limit:
                 raise CpuBudgetExceeded(
-                    f"driver executed more than {budget} instructions"
-                )
+                    f"driver executed more than {budget} instructions")
 
     def _invoke_native(self, routine: NativeRoutine):
         routine.calls += 1
@@ -648,7 +695,7 @@ class Cpu:
         if profiled:
             prof.push_phase("native:" + routine.name)
         try:
-            self.charge(self.costs.native_call)
+            self.account.charge(self._category[-1], self._c_native)
             if routine.cost:
                 self.charge_raw(routine.cost, routine.category)
             if routine.category is not None:
@@ -664,26 +711,6 @@ class Cpu:
         if result is not None:
             self.regs["eax"] = result & MASK32
         self.eip = self.pop()
-
-    # -- the interpreter ---------------------------------------------------------------
-
-    def step(self):
-        eip = self.eip
-        cache = self._prog_cache
-        index = None
-        if cache is not None and cache[1] == self.code.epoch:
-            loaded = cache[0]
-            if loaded.base <= eip < loaded.end:
-                index = loaded.addr_to_index.get(eip)
-        if index is None:
-            loaded, index = self.code.lookup(eip)
-            self._prog_cache = (loaded, self.code.epoch)
-        self.executed += 1
-        self.eip = loaded.next_addrs[index]
-        handler = loaded.handlers[index]
-        if handler is None:
-            handler = _handler_for(loaded, index)
-        handler(self)
 
     def jit_stats(self) -> Dict[str, int]:
         """Aggregate superblock statistics across cached programs (from
@@ -735,11 +762,11 @@ class Cpu:
 
     def _execute_string(self, instr: Instruction):
         if instr.prefix is None:
-            self.charge(self.costs.string_per_unit)
+            self.account.charge(self._category[-1], self._c_string)
             self._string_element(instr)
             return
         while self.regs["ecx"] != 0:
-            self.charge(self.costs.string_per_unit)
+            self.account.charge(self._category[-1], self._c_string)
             zf = self._string_element(instr)
             self.regs["ecx"] = (self.regs["ecx"] - 1) & MASK32
             if instr.prefix == "repe" and not zf:
@@ -752,9 +779,9 @@ class Cpu:
 # Instruction dispatch cache
 # ---------------------------------------------------------------------------
 #
-# ``step()`` used to re-dispatch every instruction on its mnemonic string
-# (a chain of comparisons plus a per-call condition-table rebuild). The
-# compiler below turns each instruction into a specialized closure — the
+# The interpreter used to re-dispatch every instruction on its mnemonic
+# string (a chain of comparisons plus a per-call condition-table rebuild).
+# The compiler below turns each instruction into a specialized closure — the
 # mnemonic test, operand decoding and branch-target resolution happen once,
 # at first execution, and the closure is cached on the LoadedProgram keyed
 # by instruction index. These handlers are the reference semantics: the
@@ -783,8 +810,9 @@ _CONDITIONS: Dict[str, Callable[[Dict[str, bool]], bool]] = {
 
 def _handler_for(loaded: LoadedProgram, index: int) -> Callable[[Cpu], None]:
     """Compile (and cache) the handler for one instruction, wrapping the
-    instrument hook registered for that site. Shared by ``step()`` and
-    the superblock compiler so both see identical hook semantics."""
+    instrument hook registered for that site. Shared by the dispatch
+    loop and the superblock compiler so both see identical hook
+    semantics."""
     handler = _compile_instruction(
         loaded.program.instructions[index], loaded, index
     )
@@ -814,12 +842,21 @@ def _ea_thunk(mem: Mem) -> Callable[[Cpu], int]:
         addr = disp & MASK32
         return lambda cpu: addr
     if index is None:
+        if base in _FULL_REGS:
+            return lambda cpu: (cpu.regs[base] + disp) & MASK32
         return lambda cpu: (cpu.get_reg(base) + disp) & MASK32
     if base is None:
         return lambda cpu: (cpu.get_reg(index) * scale + disp) & MASK32
     return lambda cpu: (
         cpu.get_reg(base) + cpu.get_reg(index) * scale + disp
     ) & MASK32
+
+
+def _plain_disp_base(mem: Mem) -> bool:
+    """``disp(base)`` on a full register: memory thunks fold the address
+    into the access instead of calling an effective-address thunk."""
+    return (mem.symbol is None and mem.index is None
+            and mem.base in _FULL_REGS)
 
 
 def _read_thunk(op, size: int) -> Callable[[Cpu], int]:
@@ -842,6 +879,10 @@ def _read_thunk(op, size: int) -> Callable[[Cpu], int]:
             return lambda cpu: cpu.regs[name] & MASK32
         return lambda cpu: cpu.get_reg(name) & mask
     if isinstance(op, Mem):
+        if _plain_disp_base(op):
+            base, disp = op.base, op.disp
+            # read_mem wraps the address itself
+            return lambda cpu: cpu.read_mem(cpu.regs[base] + disp, size)
         ea = _ea_thunk(op)
         return lambda cpu: cpu.read_mem(ea(cpu), size)
 
@@ -870,6 +911,12 @@ def _write_thunk(op, size: int) -> Callable[[Cpu, int], None]:
             cpu.set_reg(name, value & mask)
         return write_sub
     if isinstance(op, Mem):
+        if _plain_disp_base(op):
+            base, disp = op.base, op.disp
+
+            def write_disp_base(cpu: Cpu, value: int):
+                cpu.write_mem(cpu.regs[base] + disp, size, value)
+            return write_disp_base
         ea = _ea_thunk(op)
 
         def write_mem(cpu: Cpu, value: int):
@@ -893,7 +940,7 @@ def _target_thunk(instr: Instruction, loaded: LoadedProgram,
             ea = _ea_thunk(op)
 
             def mem_target(cpu: Cpu) -> int:
-                cpu.charge(cpu.costs.mem)
+                cpu.account.charge(cpu._category[-1], cpu._c_mem)
                 return cpu.read_mem(ea(cpu), 4)
             return mem_target
 
@@ -908,47 +955,36 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
                          index: int) -> Callable[[Cpu], None]:
     """Build the specialized handler closure for one instruction.
 
-    Invariant: by the time a handler runs, ``step()`` has already set
-    ``cpu.eip`` to the fall-through successor."""
+    Invariant: by the time a handler runs, the dispatch loop has already
+    set ``cpu.eip`` to the fall-through successor and charged the base
+    ALU cost; a handler charges only what its instruction adds."""
     m = instr.mnemonic
     size = instr.size
 
     if m in ("nop", "sti", "cli"):
-        return lambda cpu: cpu.charge(cpu.costs.alu)
+        return lambda cpu: None
     if m == "cld":
         def op_cld(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
             cpu.df = False
         return op_cld
     if m == "std":
         def op_std(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
             cpu.df = True
         return op_std
     if m in ("int3", "ud2", "hlt"):
         message = f"{m} executed at {loaded.name}[{index}]"
 
         def op_trap(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
             raise ExecutionFault(message)
         return op_trap
 
-    if m == "mov":
+    if m in ("mov", "movzb", "movzw"):
         read_src = _read_thunk(instr.src, size)
-        write_dst = _write_thunk(instr.dst, size)
+        write_dst = _write_thunk(instr.dst, size if m == "mov" else 4)
 
         def op_mov(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
             write_dst(cpu, read_src(cpu))
         return op_mov
-    if m in ("movzb", "movzw"):
-        read_src = _read_thunk(instr.src, size)
-        write_dst = _write_thunk(instr.dst, 4)
-
-        def op_movz(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
-            write_dst(cpu, read_src(cpu))
-        return op_movz
     if m == "movsx":
         read_src = _read_thunk(instr.src, size)
         write_dst = _write_thunk(instr.dst, 4)
@@ -957,7 +993,6 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         extend = MASK32 ^ ((1 << bits) - 1)
 
         def op_movsx(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
             value = read_src(cpu)
             if value & sign:
                 value |= extend
@@ -968,7 +1003,6 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         write_dst = _write_thunk(instr.dst, 4)
 
         def op_lea(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
             write_dst(cpu, ea(cpu))
         return op_lea
     if m == "xchg":
@@ -978,7 +1012,6 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         write_dst = _write_thunk(instr.dst, size)
 
         def op_xchg(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
             a = read_src(cpu)
             b = read_dst(cpu)
             write_src(cpu, b)
@@ -1016,7 +1049,6 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
                 return r
 
         def op_arith(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
             r = combine(cpu, read_dst(cpu), read_src(cpu))
             if writeback is not None:
                 writeback(cpu, r)
@@ -1029,7 +1061,6 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         bits = size * 8
 
         def op_shift(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
             count = read_count(cpu) & 0x1F
             value = read_dst(cpu)
             if count == 0:
@@ -1059,7 +1090,6 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         mask = (1 << (size * 8)) - 1
 
         def op_unary(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
             value = read_dst(cpu)
             cf = cpu.flags["cf"]
             if m == "inc":
@@ -1079,24 +1109,20 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         read_src = _read_thunk(instr.src, 4)
 
         def op_push(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
             cpu.push(read_src(cpu))
         return op_push
     if m == "pop":
         write_dst = _write_thunk(instr.dst, 4)
 
         def op_pop(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
             write_dst(cpu, cpu.pop())
         return op_pop
     if m == "pushf":
         def op_pushf(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
             cpu.push(cpu.flags_word())
         return op_pushf
     if m == "popf":
         def op_popf(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
             cpu.set_flags_word(cpu.pop())
         return op_popf
 
@@ -1104,8 +1130,7 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         resolve = _target_thunk(instr, loaded, index)
 
         def op_call(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
-            cpu.charge(cpu.costs.call)
+            cpu.account.charge(cpu._category[-1], cpu._c_call)
             target = resolve(cpu)
             routine = cpu.natives.by_addr.get(target)
             cpu.push(cpu.eip)
@@ -1116,15 +1141,13 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         return op_call
     if m == "ret":
         def op_ret(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
-            cpu.charge(cpu.costs.ret)
+            cpu.account.charge(cpu._category[-1], cpu._c_ret)
             cpu.eip = cpu.pop()
         return op_ret
     if m == "jmp":
         resolve = _target_thunk(instr, loaded, index)
 
         def op_jmp(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
             target = resolve(cpu)
             routine = cpu.natives.by_addr.get(target)
             if routine is not None:
@@ -1139,18 +1162,13 @@ def _compile_instruction(instr: Instruction, loaded: LoadedProgram,
         target = loaded.targets[index]
 
         def op_jcc(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
             if cond(cpu.flags):
                 cpu.eip = target
         return op_jcc
 
     if instr.is_string:
-        def op_string(cpu: Cpu):
-            cpu.charge(cpu.costs.alu)
-            cpu._execute_string(instr)
-        return op_string
+        return lambda cpu: cpu._execute_string(instr)
 
     def op_unknown(cpu: Cpu):  # pragma: no cover
-        cpu.charge(cpu.costs.alu)
         raise ExecutionFault(f"unimplemented mnemonic {m!r}")
     return op_unknown

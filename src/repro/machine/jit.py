@@ -8,16 +8,16 @@ caching: *superblocks*. When a basic-block head gets hot, the chain of
 blocks starting there is compiled into a single straight-line Python
 function — operand thunks fused into expressions, per-instruction
 ``charge()`` calls batched into one accumulated charge per block, the
-registry/handler/dispatch overhead of ``step()`` paid once per entry
-instead of once per instruction. The 10-instruction SVM fast path (and
+dispatch loop's registry/handler overhead paid once per entry instead
+of once per instruction. The 10-instruction SVM fast path (and
 its proof-elided anchor-reload form) inlines like any other run of
 straight-line code, which is the point: that sequence dominates the
 twin driver's dynamic instruction count.
 
 Correctness contract (the part worth reading twice):
 
-* **Cycle accounting is bit-identical.** ``Cpu.charge`` rounds each
-  charge independently (``int(round(c * cycle_scale))``), so batching
+* **Cycle accounting is bit-identical.** The interpreter rounds each
+  cost independently (``int(round(c * cycle_scale))``), so batching
   must sum the *per-charge rounded* values, never round the sum. Every
   constant cost is pre-scaled at compile time; data-dependent costs
   (hot-range memory pricing, MMIO) replicate the interpreter's exact
@@ -25,18 +25,20 @@ Correctness contract (the part worth reading twice):
   can observe the clock — native routines (the tracer timestamps spans
   with ``account.total``) and MMIO dispatch (device models emit
   events) — and a ``finally`` flush covers faults, so totals and
-  ordering across observable boundaries match ``step()`` exactly.
+  ordering across observable boundaries match the handler path exactly.
 * **Side exits are precise.** Before any operation that can fault or
-  escape (memory access, native call, delegated handler), the emitted
-  code materializes ``cpu.eip`` (the faulting instruction's
-  fall-through, exactly what ``step()`` leaves there) and
-  ``cpu.executed``. Registers and flags are always architectural —
-  superblocks write them in interpreter order, never cache them.
-* **Superblocks never run under a charge shadow.** The dispatcher
+  escape (a page-cache miss, native call, delegated handler), the
+  emitted code materializes ``cpu.eip`` (the faulting instruction's
+  fall-through, exactly what the dispatch loop leaves there) and
+  ``cpu.executed``. Registers live in ``R_<name>`` locals inside the
+  trace and are stored back into ``cpu.regs`` before every exit and
+  call-out, then reloaded after each call-out; flags are always
+  architectural, written in interpreter order.
+* **Superblocks never run under a charge shadow.** The dispatch loop
   checks ``"charge" not in account.__dict__`` (the profiler or any
   other shadow) and ``sb.scale == cpu.cycle_scale`` before entering;
-  otherwise it falls back to ``step()``, whose behaviour is the
-  definition of correct.
+  otherwise the instruction runs through its compiled handler, whose
+  behaviour is the definition of correct.
 * **Invalidation.** Superblocks cache on the ``LoadedProgram`` keyed by
   the ``CodeRegistry`` epoch (reload/recovery/re-verification bumps it,
   exactly like the PR 4 handler tables) and by the program's
@@ -49,12 +51,13 @@ jumps; conditional branches are predicted not-taken and compile to a
 guarded side exit; a branch back to the trace head turns the whole
 trace into a capped loop (the common ``while`` shape of the driver's
 copy and descriptor-ring loops); indirect branches, traps and
-unsupported forms end the trace *before* the instruction so ``step()``
+unsupported forms end the trace *before* the instruction so its handler
 executes it from an architecturally clean state.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from ..isa.instructions import Instruction
@@ -77,6 +80,11 @@ _MEM_HELPERS = {"u2": UNPACK[2], "u4": UNPACK[4],
 
 _FULL_REGS = frozenset(
     ("eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi"))
+
+#: placeholder lines for the register store-back and reload, expanded by
+#: ``render`` once the trace's register sets are known
+_SPILL = "#spill"
+_RELOAD = "#reload"
 
 #: condition expressions over the hoisted flags dict ``f`` — same truth
 #: tables as ``cpu._CONDITIONS``.
@@ -187,6 +195,10 @@ class _Emitter:
         self.uses_natives = False
         self.has_backedge = False
         self.n_instrs = 0
+        #: registers the trace touches (held in ``R_<name>`` locals) and
+        #: the subset it writes (stored back at every exit and call-out)
+        self.regs_used: set = set()
+        self.regs_written: set = set()
 
     # -- infrastructure ------------------------------------------------------
 
@@ -238,12 +250,20 @@ class _Emitter:
             self.emit("acc = 0", ind)
             self.acc_dirty = False
 
+    def spill(self, ind: int = 0):
+        """Store the register locals back into ``cpu.regs`` before an
+        exit or a call-out (expanded in ``render``, once the written set
+        is known). The locals always hold the architectural values, so
+        storing a register this path did not write is a no-op."""
+        self.emit(_SPILL, ind)
+
     def emit_side_exit(self, eip_expr: str, ind: int):
         """Exit code inside a conditional branch: materialize state and
         return (the ``finally`` flush drains ``acc``). Compile-time
         state is untouched — the fall-through path continues."""
         if self.buf:
             self.emit(f"acc += {self.buf}", ind)
+        self.spill(ind)
         self.emit(f"cpu.eip = {eip_expr}", ind)
         if self.pending:
             self.emit(f"cpu.executed += {self.pending}", ind)
@@ -254,6 +274,7 @@ class _Emitter:
         if self.buf:
             self.emit(f"acc += {self.buf}", ind)
             self.buf = 0
+        self.spill(ind)
         self.emit(f"cpu.eip = {eip_expr}", ind)
         if self.pending:
             self.emit(f"cpu.executed += {self.pending}", ind)
@@ -261,13 +282,15 @@ class _Emitter:
         self.emit("return", ind)
 
     def rehoist(self, ind: int = 0):
-        """Re-read the page caches after anything that can run model code
-        (a native, a hook, a missed access that may have been MMIO): an
+        """Re-read the registers and page caches after anything that can
+        run model code (a native, a hook, a missed access that may have
+        been MMIO): nested driver code may have changed registers, and an
         upcall may have switched ``cpu.address_space``. Remapping needs
         nothing here — the caches are invalidated in place by whoever
         remaps. Forces the memory hoists on: later memory ops in the
         trace depend on the re-read even when none were emitted yet."""
         self.uses_mem = True
+        self.emit(_RELOAD, ind)
         self.emit("rp = cpu.address_space.read_pages", ind)
         self.emit("wp = cpu.address_space.write_pages", ind)
 
@@ -279,49 +302,51 @@ class _Emitter:
             f"if (cpu.eip != {next_addr} or cpu.code.epoch != ep0 "
             f"or L._igen != ig0 or cpu._category[-1] != cat "
             f"or cpu.world_token != wt0 or 'charge' in accd):", ind)
-        self.emit("return", ind + 1)
+        self.emit("return", ind + 1)     # cpu.regs is current: no spill
         self.rehoist(ind)
         self.cur_eip = next_addr
 
     # -- operand expressions -------------------------------------------------
 
+    def reg(self, name: str) -> str:
+        """The local holding full register ``name``."""
+        self.regs_used.add(name)
+        return f"R_{name}"
+
     def reg_read(self, name: str, size: int) -> str:
         mask = (1 << (size * 8)) - 1
         if name in _FULL_REGS:
             if size == 4:
-                return f"r['{name}']"
-            return f"(r['{name}'] & {mask})"
+                return self.reg(name)
+            return f"({self.reg(name)} & {mask})"
         parent = SUBREGISTERS[name]
         sub = 0xFF if len(name) == 2 and name[1] == "l" else 0xFFFF
-        return f"(r['{parent}'] & {sub & mask})"
+        return f"({self.reg(parent)} & {sub & mask})"
 
     def reg_read_full(self, name: str) -> str:
         """``get_reg`` semantics (used for effective addresses and
         branch targets): full value for GPRs, masked for subregisters."""
         if name in _FULL_REGS:
-            return f"r['{name}']"
+            return self.reg(name)
         parent = SUBREGISTERS[name]
         sub = 0xFF if len(name) == 2 and name[1] == "l" else 0xFFFF
-        return f"(r['{parent}'] & {sub})"
+        return f"({self.reg(parent)} & {sub})"
 
     def reg_write(self, name: str, size: int, expr: str, ind: int = 0):
         mask = (1 << (size * 8)) - 1
+        parent = name if name in _FULL_REGS else SUBREGISTERS[name]
+        self.regs_written.add(parent)
+        local = self.reg(parent)
         if name in _FULL_REGS:
             if size == 4:
-                self.emit(f"r['{name}'] = ({expr}) & {MASK32}", ind)
+                self.emit(f"{local} = ({expr}) & {MASK32}", ind)
             else:
-                self.emit(
-                    f"r['{name}'] = (r['{name}'] & {MASK32 ^ mask}) "
-                    f"| (({expr}) & {mask})", ind)
+                self.emit(f"{local} = ({local} & {MASK32 ^ mask}) "
+                          f"| (({expr}) & {mask})", ind)
             return
-        parent = SUBREGISTERS[name]
-        if len(name) == 2 and name[1] == "l":
-            sub = 0xFF
-        else:
-            sub = 0xFFFF
-        self.emit(
-            f"r['{parent}'] = (r['{parent}'] & {MASK32 ^ sub}) "
-            f"| (({expr}) & {sub & mask})", ind)
+        sub = 0xFF if len(name) == 2 and name[1] == "l" else 0xFFFF
+        self.emit(f"{local} = ({local} & {MASK32 ^ sub}) "
+                  f"| (({expr}) & {sub & mask})", ind)
 
     def ea_expr(self, mem: Mem) -> str:
         if mem.symbol is not None:
@@ -341,12 +366,13 @@ class _Emitter:
     # -- memory --------------------------------------------------------------
 
     def emit_cost(self, va: str, ind: int):
-        """Inline ``Cpu._mem_cost`` pricing into the accumulator."""
+        """Inline the interpreter's hot-range RAM pricing into the
+        accumulator."""
         memc = self.scaled(self.costs.mem)
         hotc = self.scaled(self.costs.mem_hot)
         c = self.temp("c")
         self.emit(f"{c} = {memc}", ind)
-        self.emit("for lohi in hr:", ind)
+        self.emit(f"for lohi in hp.get({va} >> 12, ()):", ind)
         self.emit(f"if lohi[0] <= {va} < lohi[1]:", ind + 1)
         self.emit(f"{c} = {hotc}", ind + 2)
         self.emit("break", ind + 2)
@@ -359,13 +385,18 @@ class _Emitter:
 
         A hit in the address space's page cache (``rp``/``wp``, shared
         with the interpreter) is priced and accessed in place, one dict
-        ``get`` plus one ``Struct`` call. A miss or a page-straddling
-        access flushes the accumulator (the access may be MMIO, which
-        observes the clock) and runs the interpreter's method, which
-        translates, faults, dispatches and fills the cache with state
-        already synced."""
+        ``get`` plus one ``Struct`` call; it cannot fault or observe
+        anything, so ``cpu.eip`` and ``cpu.executed`` are left for the
+        next sync. A miss or a page-straddling access materializes both,
+        flushes the accumulator (the access may be MMIO, which observes
+        the clock) and runs the interpreter's method, which translates,
+        faults, dispatches and fills the cache; the pending count is
+        taken back afterwards because the main path still carries it."""
         self.uses_mem = True
-        self.sync(next_addr, ind)
+        if self.buf:
+            self.emit(f"acc += {self.buf}", ind)
+            self.buf = 0
+            self.acc_dirty = True
         va = self.temp("va")
         d = self.temp("d")
         v = self.temp("v")
@@ -390,13 +421,22 @@ class _Emitter:
             pk = "p2" if size == 2 else "p4"
             self.emit(f"{pk}({d}, {va} & 4095, ({value}) & {mask})", ind + 1)
         self.emit("else:", ind)
+        if self.cur_eip != next_addr:
+            self.emit(f"cpu.eip = {next_addr}", ind + 1)
+        if self.pending:
+            self.emit(f"cpu.executed += {self.pending}", ind + 1)
         self.emit("charge(cat, acc)", ind + 1)
         self.emit("acc = 0", ind + 1)
+        self.spill(ind + 1)
         if value is None:
             self.emit(f"{v} = rm({va}, {size})", ind + 1)
         else:
             self.emit(f"wm({va}, {size}, {value})", ind + 1)
+        if self.pending:
+            self.emit(f"cpu.executed -= {self.pending}", ind + 1)
         self.rehoist(ind + 1)
+        if self.cur_eip != next_addr:
+            self.cur_eip = None           # only the miss path moved it
         self.acc_dirty = True        # branches disagree; finally covers it
         return v
 
@@ -417,8 +457,11 @@ class _Emitter:
         raise _Unsupported(f"unreadable operand {op!r}")
 
     def as_var(self, expr: str, ind: int = 0) -> str:
-        """Bind an expression to a temp when it will be used twice."""
-        if expr.isidentifier() or expr.isdigit():
+        """Bind an expression to a temp when it will be used twice (a
+        register local is not stable: the instruction may overwrite it
+        before the second use)."""
+        if expr.isdigit() or (expr.isidentifier()
+                              and not expr.startswith("R_")):
             return expr
         v = self.temp()
         self.emit(f"{v} = {expr}", ind)
@@ -510,14 +553,15 @@ class _Emitter:
         if m == "xchg" and not (isinstance(instr.src, (Reg, Mem))
                                 and isinstance(instr.dst, (Reg, Mem))):
             raise _Unsupported("unwritable xchg operand")
-        if index in loaded.instrument:
-            if instr.is_control_flow:
-                raise _Unsupported("instrumented control flow")
-            return self.delegate(index, next_addr, next_index)
+        instrumented = index in loaded.instrument
+        if instrumented and instr.is_control_flow:
+            raise _Unsupported("instrumented control flow")
 
         self.pending += 1
         self.n_instrs += 1
         self.charge_const(self.costs.alu)
+        if instrumented:
+            return self.delegate(index, next_addr, next_index)
 
         if m in ("nop", "sti", "cli"):
             return next_index
@@ -598,8 +642,7 @@ class _Emitter:
             if isinstance(instr.dst, Mem):
                 # a conditionally-skipped memory write would fork the
                 # accounting state; the handler does it exactly
-                return self.delegate(index, next_addr, next_index,
-                                     undo_inline=True)
+                return self.delegate(index, next_addr, next_index)
             bits = size * 8
             mask = (1 << bits) - 1
             sign = 1 << (bits - 1)
@@ -690,6 +733,7 @@ class _Emitter:
             self.uses_natives = True
             name = self.bake("N", routine)
             self.flush()
+            self.spill()
             self.emit(f"cpu._invoke_native({name})")
             self.native_guard(next_addr)
             return next_index
@@ -710,6 +754,7 @@ class _Emitter:
                 name = self.bake("N", routine)
                 self.sync(next_addr)
                 self.flush()
+                self.spill()
                 self.emit(f"cpu._invoke_native({name})")
                 self.emit("return")
                 return None
@@ -737,8 +782,7 @@ class _Emitter:
             return next_index
 
         if instr.is_string:
-            return self.delegate(index, next_addr, next_index,
-                                 undo_inline=True)
+            return self.delegate(index, next_addr, next_index)
 
         raise _Unsupported(f"unhandled mnemonic {m!r}")
 
@@ -746,35 +790,32 @@ class _Emitter:
 
     def emit_push(self, value: str, next_addr: int, ind: int = 0):
         sp = self.temp("sp")
-        self.emit(f"{sp} = (r['esp'] - 4) & {MASK32}", ind)
-        self.emit(f"r['esp'] = {sp}", ind)
+        esp = self.reg("esp")
+        self.regs_written.add("esp")
+        self.emit(f"{sp} = ({esp} - 4) & {MASK32}", ind)
+        self.emit(f"{esp} = {sp}", ind)
         self.mem_access(sp, 4, value, next_addr, ind)
 
     def emit_pop(self, next_addr: int, ind: int = 0) -> str:
-        v = self.mem_access("r['esp']", 4, None, next_addr, ind)
-        self.emit(f"r['esp'] = (r['esp'] + 4) & {MASK32}", ind)
+        esp = self.reg("esp")
+        self.regs_written.add("esp")
+        v = self.mem_access(esp, 4, None, next_addr, ind)
+        self.emit(f"{esp} = ({esp} + 4) & {MASK32}", ind)
         return v
 
-    def delegate(self, index: int, next_addr: int,
-                 next_index: int, undo_inline: bool = False) -> int:
-        """Run one instruction through its compiled PR 4 handler (string
-        ops, instrumented sites, shift-to-memory): sync and flush so the
-        handler sees exactly the state ``step()`` would give it."""
+    def delegate(self, index: int, next_addr: int, next_index: int) -> int:
+        """Run one instruction through its compiled handler (string ops,
+        instrumented sites, shift-to-memory) once ``emit_instruction``
+        has consumed it and its base ALU charge: sync and flush so the
+        handler sees exactly the state the dispatch loop gives it."""
         from .cpu import _handler_for    # deferred: avoids module cycle
-        if undo_inline:
-            # emit_instruction already consumed the instruction and its
-            # base ALU charge; the handler charges it itself
-            self.pending -= 1
-            self.n_instrs -= 1
-            self.buf -= self.scaled(self.costs.alu)
-        self.pending += 1
-        self.n_instrs += 1
         self.sync(next_addr)
         self.flush()
         handler = self.loaded.handlers[index]
         if handler is None:
             handler = _handler_for(self.loaded, index)
         name = self.bake("H", handler)
+        self.spill()
         self.emit(f"{name}(cpu)")
         if index in self.loaded.instrument:
             # hooks are arbitrary code: re-validate the world
@@ -805,12 +846,23 @@ class _Emitter:
         self.emit("acc = 0", ind)
         self.emit("it -= 1", ind)
         self.emit("if it == 0:", ind)
+        self.spill(ind + 1)
         self.emit("return", ind + 1)
         self.emit("continue", ind)
         if cond is None:
             self.acc_dirty = False
 
     # -- trace construction --------------------------------------------------
+
+    def reload_line(self) -> str:
+        """One statement loading every register local from ``cpu.regs``."""
+        names = sorted(self.regs_used)
+        if not names:
+            return ""
+        if len(names) == 1:
+            return f"R_{names[0]} = r['{names[0]}']"
+        self.ns["RL"] = itemgetter(*names)
+        return ", ".join(f"R_{n}" for n in names) + " = RL(r)"
 
     def build(self) -> Optional[str]:
         """Walk the trace from the head, emitting each instruction.
@@ -824,7 +876,8 @@ class _Emitter:
             if index is None:
                 break
             if index >= n:
-                # fell off the end of the program: step() faults there
+                # fell off the end of the program: the dispatch loop
+                # faults there
                 self.end_trace(str(loaded.end))
                 break
             if index in visited:
@@ -855,7 +908,20 @@ class _Emitter:
         return self.render()
 
     def render(self) -> str:
-        body = self.lines
+        guarded = self.uses_natives or bool(self.ns)
+        reload = self.reload_line()
+        body = []
+        for line in self.lines:
+            text = line.lstrip()
+            if text == _SPILL:
+                pad = line[:len(line) - len(text)]
+                body += [f"{pad}r['{name}'] = R_{name}"
+                         for name in sorted(self.regs_written)]
+            elif text == _RELOAD:
+                if reload:
+                    body.append(line[:len(line) - len(text)] + reload)
+            else:
+                body.append(line)
         prologue = [
             "r = cpu.regs",
             "f = cpu.flags",
@@ -863,15 +929,17 @@ class _Emitter:
             "cat = cpu._category[-1]",
             "acc = 0",
         ]
+        if reload:
+            prologue.append(reload)
         if self.uses_mem:
             prologue += [
                 "rp = cpu.address_space.read_pages",
                 "wp = cpu.address_space.write_pages",
                 "rm = cpu.read_mem",
                 "wm = cpu.write_mem",
-                "hr = cpu.hot_ranges",
+                "hp = cpu.hot_pages",
             ]
-        if self.uses_natives or self.ns:
+        if guarded:
             prologue += [
                 "accd = cpu.account.__dict__",
                 "ep0 = cpu.code.epoch",

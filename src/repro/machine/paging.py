@@ -160,27 +160,39 @@ class AddressSpace:
         return data
 
     # -- convenience memory access (Python-side kernel code) ---------------------
+    #
+    # Served from the page cache like the CPU's accesses; a miss
+    # translates (raising the same faults) and fills the cache, while
+    # MMIO and unallocated frames keep taking the ``phys`` path.
 
     def read(self, vaddr: int, size: int) -> int:
-        return self._access(vaddr, size, None)
+        vaddr &= 0xFFFFFFFF
+        offset = vaddr & OFFSET_MASK
+        if offset + size > PAGE_SIZE:
+            return int.from_bytes(self.read_bytes(vaddr, size), "little")
+        data = self.read_pages.get(vaddr >> PAGE_SHIFT)
+        if data is None:
+            paddr = self.translate(vaddr)
+            data = self.cache_page(vaddr, paddr, False)
+            if data is None:
+                return self.phys.read(paddr, size)
+        return int.from_bytes(data[offset: offset + size], "little")
 
     def write(self, vaddr: int, size: int, value: int):
-        self._access(vaddr, size, value)
-
-    def _access(self, vaddr: int, size: int, value: Optional[int]):
-        # Accesses may straddle a page boundary; split on page lines.
-        if (vaddr & OFFSET_MASK) + size <= PAGE_SIZE:
-            paddr = self.translate(vaddr, write=value is not None)
-            if value is None:
-                return self.phys.read(paddr, size)
-            self.phys.write(paddr, size, value)
-            return None
-        if value is None:
-            raw = self.read_bytes(vaddr, size)
-            return int.from_bytes(raw, "little")
-        self.write_bytes(vaddr, (value & ((1 << (size * 8)) - 1))
-                         .to_bytes(size, "little"))
-        return None
+        vaddr &= 0xFFFFFFFF
+        offset = vaddr & OFFSET_MASK
+        raw = (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
+        if offset + size > PAGE_SIZE:
+            self.write_bytes(vaddr, raw)
+            return
+        data = self.write_pages.get(vaddr >> PAGE_SHIFT)
+        if data is None:
+            paddr = self.translate(vaddr, write=True)
+            data = self.cache_page(vaddr, paddr, True)
+            if data is None:
+                self.phys.write(paddr, size, value)
+                return
+        data[offset: offset + size] = raw
 
     def read_u32(self, vaddr: int) -> int:
         return self.read(vaddr, 4)
@@ -191,9 +203,17 @@ class AddressSpace:
     def read_bytes(self, vaddr: int, n: int) -> bytes:
         out = bytearray()
         while n > 0:
-            chunk = min(n, PAGE_SIZE - (vaddr & OFFSET_MASK))
-            paddr = self.translate(vaddr)
-            out += self.phys.read_bytes(paddr, chunk)
+            vaddr &= 0xFFFFFFFF
+            offset = vaddr & OFFSET_MASK
+            chunk = min(n, PAGE_SIZE - offset)
+            data = self.read_pages.get(vaddr >> PAGE_SHIFT)
+            if data is None:
+                paddr = self.translate(vaddr)
+                data = self.cache_page(vaddr, paddr, False)
+            if data is None:
+                out += self.phys.read_bytes(paddr, chunk)
+            else:
+                out += data[offset: offset + chunk]
             vaddr += chunk
             n -= chunk
         return bytes(out)
@@ -201,9 +221,16 @@ class AddressSpace:
     def write_bytes(self, vaddr: int, payload: bytes):
         pos = 0
         while pos < len(payload):
-            chunk = min(len(payload) - pos,
-                        PAGE_SIZE - (vaddr & OFFSET_MASK))
-            paddr = self.translate(vaddr, write=True)
-            self.phys.write_bytes(paddr, payload[pos: pos + chunk])
+            vaddr &= 0xFFFFFFFF
+            offset = vaddr & OFFSET_MASK
+            chunk = min(len(payload) - pos, PAGE_SIZE - offset)
+            data = self.write_pages.get(vaddr >> PAGE_SHIFT)
+            if data is None:
+                paddr = self.translate(vaddr, write=True)
+                data = self.cache_page(vaddr, paddr, True)
+            if data is None:
+                self.phys.write_bytes(paddr, payload[pos: pos + chunk])
+            else:
+                data[offset: offset + chunk] = payload[pos: pos + chunk]
             vaddr += chunk
             pos += chunk

@@ -463,3 +463,150 @@ class TestNativesAndFaults:
         m.cpu.add_hot_range(DATA, DATA + PAGE_SIZE)
         m.cpu.call_function(loaded.symbol("f"), [], stack_top=STACK_TOP)
         assert m.account.total < cold
+
+
+def _machine(jit):
+    m, space = make_machine()
+    m.cpu.jit_enabled = jit
+    m.cpu.jit_threshold = 2
+    return m, space
+
+
+class TestDispatchAttribution:
+    """The dispatch loop charges each instruction's base ALU cost after
+    advancing ``eip`` and before the handler runs, so the profiler keys
+    every charge of an instruction (ALU, memory, call/ret extras) on its
+    fall-through address, and its sums equal the account exactly."""
+
+    SRC = """
+.globl f
+f:  movl $1, %eax
+    movl %eax, (%ebx)
+    call g
+    addl (%ebx), %eax
+    ret
+g:  ret
+"""
+
+    @pytest.mark.parametrize("jit", [False, True])
+    def test_samples_land_on_fall_through_pcs(self, jit):
+        m, _ = _machine(jit)
+        loaded = m.load_linked_program(assemble(self.SRC), 0x08000000)
+        m.cpu.add_hot_range(STACK_TOP - PAGE_SIZE, STACK_TOP)
+        m.cpu.regs["ebx"] = DATA
+        for _ in range(4):                   # warm (JIT: compiled traces)
+            m.cpu.call_function(loaded.symbol("f"), [], stack_top=STACK_TOP)
+        prof = m.obs.profiler
+        prof.reset()
+        prof.enable()
+        before = m.account.snapshot()
+        assert m.cpu.call_function(loaded.symbol("f"), [],
+                                   stack_top=STACK_TOP) == 2
+        moved = m.account.delta_since(before)
+        prof.disable()
+        c = m.cpu.costs
+        pc = loaded.next_addrs
+        expected = {
+            None: [c.mem_hot, 1],                         # sentinel push
+            pc[0]: [c.alu, 1],
+            pc[1]: [c.alu + c.mem, 2],
+            pc[2]: [c.alu + c.call + c.mem_hot, 3],       # + push
+            pc[5]: [c.alu + c.ret + c.mem_hot, 3],        # g: + pop
+            pc[3]: [c.alu + c.mem, 2],
+            pc[4]: [c.alu + c.ret + c.mem_hot, 3],
+        }
+        samples = prof.snapshot()["samples"]
+        assert {s["layer"] for s in samples} == {"dom0"}
+        assert {s["pc"]: [s["cycles"], s["count"]] for s in samples} \
+            == expected
+        assert prof.category_totals() == {k: v for k, v in moved.items() if v}
+        assert sum(moved.values()) == sum(v[0] for v in expected.values())
+
+
+class TestAccountingEdges:
+    SRC = """
+.globl f
+f:  movl $1, %eax
+    movl %eax, (%ebx)
+    pushl %eax
+    popl %ecx
+    ret
+"""
+
+    def test_cycle_scale_assignment_reprices_interpreter_charges(self):
+        m, _ = make_machine()
+        loaded = m.load_linked_program(assemble(self.SRC), 0x08000000)
+        m.cpu.add_hot_range(STACK_TOP - PAGE_SIZE, STACK_TOP)
+        m.cpu.regs["ebx"] = DATA
+        c = m.cpu.costs
+        for scale in (1.0, 2.5, 0.3, 1.0):
+            m.cpu.cycle_scale = scale
+            before = m.account.total
+            m.cpu.call_function(loaded.symbol("f"), [], stack_top=STACK_TOP)
+
+            def s(cycles):
+                return int(round(cycles * scale))
+            # sentinel push, 5 ALU, one cold store, push, pop, ret + pop
+            assert m.account.total - before == (
+                s(c.mem_hot) + 5 * s(c.alu) + s(c.mem) + 2 * s(c.mem_hot)
+                + s(c.ret) + s(c.mem_hot))
+
+    @pytest.mark.parametrize("jit", [False, True])
+    def test_profiler_enabled_inside_native_records_rest_of_call(self, jit):
+        m, _ = _machine(jit)
+        box = {"arm": False}
+
+        def start_profiling(cpu):
+            if box["arm"]:
+                m.obs.profiler.enable()
+                box["snap"] = m.account.snapshot()
+            return 7
+
+        m.register_native("start_profiling", start_profiling)
+        program = assemble("""
+.globl f
+f:  movl $1, %ecx
+    call start_profiling
+    addl (%ebx), %eax
+    movl %eax, 4(%ebx)
+    addl $1, %ecx
+    ret
+""")
+        loaded = m.load_linked_program(
+            program, 0x08000000,
+            extern={"start_profiling": m.natives.address_of("start_profiling")})
+        m.cpu.regs["ebx"] = DATA
+        for _ in range(4):
+            m.cpu.call_function(loaded.symbol("f"), [], stack_top=STACK_TOP)
+        box["arm"] = True
+        assert m.cpu.call_function(loaded.symbol("f"), [],
+                                   stack_top=STACK_TOP) == 7
+        prof = m.obs.profiler
+        moved = m.account.delta_since(box["snap"])
+        prof.disable()
+        # the native's return pop, then three instructions and the ret
+        c = m.cpu.costs
+        assert sum(moved.values()) == (
+            c.mem + 4 * c.alu + 2 * c.mem + c.ret + c.mem)
+        assert prof.category_totals() == {k: v for k, v in moved.items() if v}
+
+    def test_budget_fires_at_the_same_executed_count_on_both_engines(self):
+        outs = []
+        for jit in (False, True):
+            m, _ = _machine(jit)
+            # the indirect jump ends every trace, so both engines reach
+            # the dispatch loop's budget check after each instruction
+            loaded = m.load_linked_program(
+                assemble(".globl f\nf: incl %ecx\njmp *%eax"), 0x08000000)
+            m.cpu.regs["eax"] = loaded.symbol("f")
+            m.cpu.max_steps_per_call = 101
+            start = m.cpu.executed
+            with pytest.raises(CpuBudgetExceeded) as info:
+                m.cpu.call_function(loaded.symbol("f"), [],
+                                    stack_top=STACK_TOP)
+            outs.append((m.cpu.executed - start, m.cpu.regs["ecx"],
+                         str(info.value), m.account.total))
+            if jit:
+                assert m.cpu.jit_stats()["entries"] > 0
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 102
