@@ -10,14 +10,14 @@ of dom0 sk_buffs protected from the dom0 allocator by the refcount trick.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..machine.cpu import Cpu
 from ..machine.paging import HYPERVISOR_BASE, PageFault
 from ..obs.events import SUPPORT_CALL
 from ..osmodel import layout as L
 from ..osmodel.kernel import Kernel
-from ..osmodel.skbuff import SkBuff, init_skb
+from ..osmodel.skbuff import SkBuff
 from ..xen.hypervisor import Hypervisor
 from .svm import SvmManager, SvmProtectionFault, SvmView
 
@@ -163,7 +163,8 @@ class HypervisorSupport:
             name: self._registry.counter(f"support.{name}")
             for name in HYPERVISOR_FAST_PATH
         }
-        self._register_all()
+        for name in HYPERVISOR_FAST_PATH:
+            self._bind(name)
 
     @property
     def calls(self) -> Dict[str, int]:
@@ -171,19 +172,13 @@ class HypervisorSupport:
         return {name: c.value for name, c in self._counters.items()
                 if c.value}
 
-    def note_call(self, name: str, direct: bool = False):
-        """Record a fast-path support call in the trace ring. ``direct``
-        marks Python-level calls made by the hypervisor itself (the twin
-        tx/rx glue) rather than by the driver binary; only driver calls
-        count toward ``calls``."""
-        if not direct:
-            self._counters[name].value += 1
-        if self._tracer.enabled:
-            self._tracer.emit(SUPPORT_CALL, name=name, direct=direct)
-
     # -- registration ----------------------------------------------------------
 
-    def _bind(self, name: str, impl: Callable, nargs: int):
+    def _bind(self, name: str):
+        """Register routine ``name`` as a native that reads as many stack
+        arguments as its implementation takes."""
+        impl = getattr(self, name)
+        nargs = impl.__code__.co_argcount - 1
         counter = self._counters[name]
         tracer = self._tracer
 
@@ -200,18 +195,6 @@ class HypervisorSupport:
             category="Xen",
         )
         self.addresses[name] = addr
-
-    def _register_all(self):
-        self._bind("netdev_alloc_skb", self.netdev_alloc_skb, 2)
-        self._bind("dev_kfree_skb_any", self.dev_kfree_skb_any, 1)
-        self._bind("netif_rx", self.netif_rx, 1)
-        self._bind("dma_map_single", self.dma_map_single, 4)
-        self._bind("dma_map_page", self.dma_map_page, 4)
-        self._bind("dma_unmap_single", self.dma_unmap_single, 3)
-        self._bind("dma_unmap_page", self.dma_unmap_page, 3)
-        self._bind("spin_trylock", self.spin_trylock, 1)
-        self._bind("spin_unlock_irqrestore", self.spin_unlock_irqrestore, 2)
-        self._bind("eth_type_trans", self.eth_type_trans, 2)
 
     # -- implementations (all data access goes through the stlb view) -----------
 
@@ -278,9 +261,7 @@ class HypervisorSupport:
         self._iommu_unmap(bus, length)
         return 0
 
-    def dma_unmap_page(self, bus: int, length: int, direction: int) -> int:
-        self._iommu_unmap(bus, length)
-        return 0
+    dma_unmap_page = dma_unmap_single
 
     def _iommu_map(self, bus: int, length: int):
         if self.machine.iommu is not None:

@@ -26,6 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Bytes of packet header copied into the dom0 sk_buff on transmit.
 HEADER_COPY_BYTES = 96
+#: Upper bound on frames per :meth:`ParavirtNetDevice.transmit_batch`.
+TX_BATCH_MAX = 32
 
 
 class ParavirtNetDevice:
@@ -45,41 +47,18 @@ class ParavirtNetDevice:
         self.keep_rx_payloads = False
         #: number of coalesced rx interrupts this device has taken
         self.rx_interrupts = 0
-        #: guest buffer pages used to stage outgoing payloads
-        self._tx_buf = guest_kernel.heap.alloc_pages(2)
-        #: extra 2-page staging slots, grown lazily by transmit_batch
-        self._tx_slots: List[int] = [self._tx_buf]
+        #: 2-page guest staging slots for outgoing frames, one per frame
+        #: of a burst, grown lazily by transmit_batch
+        self._tx_slots: List[int] = [guest_kernel.heap.alloc_pages(2)]
         twin.register_guest_device(self)
 
     # -- transmit ------------------------------------------------------------
 
     def transmit(self, payload_len: int, dst_mac: bytes = BROADCAST_MAC,
                  payload: Optional[bytes] = None) -> bool:
-        """Send one frame: guest TCP/IP stack -> hypercall -> hypervisor
-        driver. Returns False if the driver reported ring-full."""
-        costs = self.kernel.costs
-        self.kernel.charge(costs.kernel_tx_stack, phase="tx_stack")
-        if self.kernel.paravirtual:
-            self.kernel.charge(costs.pv_kernel_tx_overhead, "Xen",
-                               phase="pv_tx_overhead")
-        frame_len = L.ETH_HLEN + payload_len
-        header = (bytes(dst_mac) + self.mac
-                  + (0x0800).to_bytes(2, "big"))
-        # Stage the frame in guest memory (header + payload).
-        aspace = self.kernel.domain.aspace
-        aspace.write_bytes(self._tx_buf, header)
-        if payload is not None:
-            aspace.write_bytes(self._tx_buf + L.ETH_HLEN,
-                               payload[:payload_len])
-        # hypercall into the hypervisor driver
-        self.twin.xen.hypercall("twin-xmit")
-        ok = self.twin.guest_transmit(self, self._tx_buf, frame_len)
-        if ok:
-            self.tx_packets += 1
-            self.tx_bytes += frame_len
-        else:
-            self.tx_busy += 1
-        return ok
+        """Send one frame: a burst of one (:meth:`transmit_batch`).
+        Returns False if the driver reported ring-full."""
+        return self.transmit_batch([payload_len], dst_mac, [payload])[0]
 
     def transmit_batch(self, payload_lens: List[int],
                        dst_mac: bytes = BROADCAST_MAC,
@@ -91,10 +70,9 @@ class ParavirtNetDevice:
         amortised. Returns one success flag per frame."""
         if not payload_lens:
             return []
-        if len(payload_lens) > self.twin.tx_batch_max:
-            raise ValueError(
-                f"batch of {len(payload_lens)} exceeds tx_batch_max="
-                f"{self.twin.tx_batch_max}")
+        if len(payload_lens) > TX_BATCH_MAX:
+            raise ValueError(f"batch of {len(payload_lens)} exceeds "
+                             f"TX_BATCH_MAX={TX_BATCH_MAX}")
         costs = self.kernel.costs
         aspace = self.kernel.domain.aspace
         while len(self._tx_slots) < len(payload_lens):

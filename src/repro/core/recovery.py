@@ -306,15 +306,10 @@ class RecoveryManager:
             # a stale count would make every free a mere decrement and
             # leak the buffer out of the pool forever.
             skb.refcnt = 1
-        broadcast = bool(dst_mac[0] & 1)
-        if broadcast:
-            guests = list(twin.guest_devices)
-        else:
-            guest = twin.guests_by_mac.get(dst_mac)
-            guests = [guest] if guest is not None else []
+        guests = twin.rx_targets(dst_mac)
         # dom0's own stack sees broadcasts too, and unknown unicast
         # belongs to it, not to whichever guest happens to be first
-        to_dom0 = broadcast or not guests
+        to_dom0 = bool(dst_mac[0] & 1) or not guests
         payload = mem.read_bytes(skb.data, skb.len)
         if not to_dom0:
             # a guest's unicast is done with the skb: pool buffers go

@@ -34,6 +34,7 @@ from ..obs.events import (
     SPAN_IRQ,
     SPAN_PACKET_RX,
     SPAN_PACKET_TX,
+    SUPPORT_CALL,
 )
 from ..obs.health import VIRQ_DEFER_HISTOGRAM
 from ..osmodel.netdev import NetDevice
@@ -68,27 +69,23 @@ CONTAINABLE_FAULTS = (DriverAborted, SvmProtectionFault, SvmMapExhausted,
 
 #: NAPI-style receive budget: packets delivered per guest per
 #: :meth:`TwinDriverManager.flush_rx` pass; leftovers are requeued and a
-#: softirq continues the flush. Tunable per instance (``rx_batch_budget``).
-DEFAULT_RX_BATCH_BUDGET = 64
-#: Upper bound on frames accepted per :meth:`guest_transmit_batch` call.
-#: Tunable per instance (``tx_batch_max``).
-DEFAULT_TX_BATCH_MAX = 32
+#: softirq continues the flush.
+RX_BATCH_BUDGET = 64
 
 
 class TwinQueue:
     """One shard of the twin's receive state (multiqueue RSS).
 
-    Each queue owns its rx backlog, its NAPI budget, a lock-ownership
-    word (which vCPU last flushed it — the contention model charges a
-    cache-line handoff when that changes), and an stlb partition warmth
-    tag (which guest's translations are hot in this queue's slice of the
-    stlb — flushing a different guest pays a partition refill). With
+    Each queue owns its rx backlog, a lock-ownership word (which vCPU
+    last flushed it — the contention model charges a cache-line handoff
+    when that changes), and an stlb partition warmth tag (which guest's
+    translations are hot in this queue's slice of the stlb — flushing a
+    different guest pays a partition refill). With
     ``num_queues=1`` the single queue behaves exactly like the pre-SMP
     global rx queue and none of the contention charges fire."""
 
-    def __init__(self, index: int, budget: int):
+    def __init__(self, index: int):
         self.index = index
-        self.budget = budget
         #: queued (guest device, skb address) pairs awaiting flush.
         self.rx: List[Tuple["ParavirtNetDevice", int]] = []
         #: id of the vCPU that last held this queue's flush lock.
@@ -110,8 +107,6 @@ class TwinDriverManager:
                  driver: Optional[DriverSpec] = None,
                  recovery: bool = True,
                  recovery_policy: Optional[RecoveryPolicy] = None,
-                 rx_batch_budget: int = DEFAULT_RX_BATCH_BUDGET,
-                 tx_batch_max: int = DEFAULT_TX_BATCH_MAX,
                  elide: bool = False,
                  num_queues: int = 1,
                  instance_name: str = "hyp",
@@ -132,9 +127,6 @@ class TwinDriverManager:
         faults at the hypervisor boundary quarantine the instance and
         degrade to the dom0 path instead of propagating; set it False to
         get the raw §4.5 abort semantics (tests).
-        ``rx_batch_budget`` caps packets delivered per guest per
-        :meth:`flush_rx` pass (NAPI-style); ``tx_batch_max`` caps frames
-        per :meth:`guest_transmit_batch`.
         ``elide`` enables proof-based check elision: sites the verifier's
         abstract interpretation proved to stay inside an anchor's checked
         page pair reload the anchor's stored translation instead of
@@ -142,7 +134,7 @@ class TwinDriverManager:
         report); both instances load the same transformed binary so
         ``code_offset`` stays a single constant.
         ``num_queues`` shards the receive path into N RSS queues, each
-        with its own backlog, budget, lock ownership and stlb partition;
+        with its own backlog, lock ownership and stlb partition;
         1 (the default) reproduces the pre-SMP single-queue behaviour
         bit-for-bit.
         ``instance_name``/``code_base``/``data_base``/``stack_base``/
@@ -270,22 +262,13 @@ class TwinDriverManager:
         #: them back before invoking the (new) instance.
         self._frozen_tx: List[Tuple[ParavirtNetDevice, int, bytes]] = []
 
-        # fast-path batching knobs (§5.3: one copy pass + one virtual
-        # interrupt per scheduled guest, not per packet)
-        if rx_batch_budget < 1:
-            raise ValueError("rx_batch_budget must be >= 1")
-        if tx_batch_max < 1:
-            raise ValueError("tx_batch_max must be >= 1")
         if num_queues < 1:
             raise ValueError("num_queues must be >= 1")
-        self.rx_batch_budget = rx_batch_budget
-        self.tx_batch_max = tx_batch_max
-        # multiqueue sharding: per-queue rx backlogs, budgets, lock
-        # ownership and stlb partitions; guests are steered to a queue
-        # by the RSS hash of their MAC
+        # multiqueue sharding: per-queue rx backlogs, lock ownership and
+        # stlb partitions; guests are steered to a queue by the RSS hash
+        # of their MAC
         self.num_queues = num_queues
-        self.queues = [TwinQueue(i, rx_batch_budget)
-                       for i in range(num_queues)]
+        self.queues = [TwinQueue(i) for i in range(num_queues)]
         self._guest_rx_queue: Dict[bytes, int] = {}
         #: netdev addr -> id of the vCPU that last held its tx lock.
         self._tx_lock_owner: Dict[int, int] = {}
@@ -361,12 +344,6 @@ class TwinDriverManager:
             dev.netdev_addr = None
 
     # -- rx queue facade -----------------------------------------------------
-
-    @property
-    def _rx_queue(self) -> List[Tuple[ParavirtNetDevice, int]]:
-        """Back-compat view of queue 0's backlog (THE rx queue before
-        multiqueue sharding; still everything when ``num_queues=1``)."""
-        return self.queues[0].rx
 
     @property
     def rx_backlog(self) -> int:
@@ -446,9 +423,6 @@ class TwinDriverManager:
         self._h_rx_batch.observe(len(payloads))
         self.xen.deliver_coalesced_virq(guest.kernel.domain, len(payloads))
         guest.deliver_batch(payloads)
-
-    def bind_device(self, dev: ParavirtNetDevice, netdev_addr: int):
-        dev.netdev_addr = netdev_addr
 
     # ------------------------------------------------------------ VM instance
 
@@ -679,42 +653,85 @@ class TwinDriverManager:
 
     def guest_transmit(self, dev: ParavirtNetDevice, buf: int,
                        frame_len: int) -> bool:
-        """The hypervisor half of the paravirtual transmit path."""
+        """One staged guest frame: a burst of one."""
+        return self.guest_transmit_batch(dev, [(buf, frame_len)])[0]
+
+    def guest_transmit_batch(self, dev: ParavirtNetDevice,
+                             frames: List[Tuple[int, int]]) -> List[bool]:
+        """The hypervisor half of the paravirtual transmit path: send a
+        burst of staged guest frames (``(buf, len)`` pairs) under one
+        span, resolving the driver's ``hard_start_xmit`` entry once for
+        the whole burst. This is the containment boundary for transmit: a
+        containable fault mid-burst quarantines the instance and routes
+        the faulting frame *and the rest of the burst* through the
+        degraded per-packet path, so the guest still gets one result per
+        frame and never sees the abort."""
         if dev.netdev_addr is None:
             raise RuntimeError("guest device not bound to a NIC")
+        if not frames:
+            return []
+        self._h_tx_batch.observe(len(frames))
         tracer = self.machine.obs.tracer
-        if tracer.enabled:
-            span = tracer.begin_span(SPAN_PACKET_TX, len=frame_len)
-            try:
-                return self._contained_transmit(dev, buf, frame_len)
-            finally:
-                tracer.end_span(span)
-        return self._contained_transmit(dev, buf, frame_len)
-
-    def _contained_transmit(self, dev: ParavirtNetDevice, buf: int,
-                            frame_len: int) -> bool:
-        """The containment boundary for the transmit path: while degraded
-        route to dom0; on a fault, quarantine and serve the packet on the
-        degraded path so the guest never sees the abort."""
-        if self.frozen:
-            # handover admission gate: accept the frame but park it; the
-            # replay phase sends it through whichever twin owns the
-            # device after the swap/rehome
-            frame = dev.kernel.domain.aspace.read_bytes(buf, frame_len)
-            self._frozen_tx.append((dev, buf, frame))
-            return True
-        if self.recovery is not None and self.recovery.degraded:
-            return self.recovery.degraded_transmit(dev, buf, frame_len)
+        total = sum(frame_len for _, frame_len in frames)
+        span = (tracer.begin_span(SPAN_PACKET_TX, len=total,
+                                  batch=len(frames))
+                if tracer.enabled else None)
         try:
-            return self._guest_transmit(dev, buf, frame_len)
-        except CONTAINABLE_FAULTS as exc:
-            if self.recovery is None:
-                raise
-            self.recovery.handle_abort(exc)
-            return self.recovery.degraded_transmit(dev, buf, frame_len)
+            return self._guest_transmit_burst(dev, frames)
+        finally:
+            if span is not None:
+                tracer.end_span(span)
+
+    def _guest_transmit_burst(self, dev: ParavirtNetDevice,
+                              frames: List[Tuple[int, int]]) -> List[bool]:
+        if self.frozen:
+            # handover admission gate: accept the frames but park them;
+            # the replay phase sends them through whichever twin owns the
+            # device after the swap/rehome
+            aspace = dev.kernel.domain.aspace
+            self._frozen_tx.extend(
+                (dev, buf, aspace.read_bytes(buf, n)) for buf, n in frames)
+            return [True] * len(frames)
+        if self.recovery is not None and self.recovery.degraded:
+            return [self.recovery.degraded_transmit(dev, buf, frame_len)
+                    for buf, frame_len in frames]
+        if self.num_queues > 1:
+            # tx-lock contention model (the driver's xmit lock, which the
+            # twin already takes): a burst from a vCPU that did not send
+            # the previous burst on this netdev pays the cache-line
+            # handoff; same-vCPU back-to-back bursts take it uncontended
+            owner = self.xen._cur_vcpu.id
+            last = self._tx_lock_owner.get(dev.netdev_addr)
+            costs = self.xen.costs
+            if last is None or last == owner:
+                self.xen.charge_xen(costs.lock_uncontended,
+                                    phase="twin:lock")
+            else:
+                self.xen.charge_xen(costs.lock_handoff,
+                                    phase="twin:lock_handoff")
+            self._tx_lock_owner[dev.netdev_addr] = owner
+        xmit_vm = NetDevice(self.dom0_kernel.domain.aspace,
+                            dev.netdev_addr).hard_start_xmit
+        entry = self.hyp_driver.entry_for_vm_address(xmit_vm)
+        results: List[bool] = []
+        for index, (buf, frame_len) in enumerate(frames):
+            try:
+                results.append(
+                    self._guest_transmit(dev, buf, frame_len, entry))
+            except CONTAINABLE_FAULTS as exc:
+                if self.recovery is None:
+                    raise
+                self.recovery.handle_abort(exc)
+                # per-packet fallback: this frame and the remainder of
+                # the burst go through the degraded dom0 path
+                results.extend(
+                    self.recovery.degraded_transmit(dev, b, n)
+                    for b, n in frames[index:])
+                break
+        return results
 
     def _guest_transmit(self, dev: ParavirtNetDevice, buf: int,
-                        frame_len: int, entry: Optional[int] = None) -> bool:
+                        frame_len: int, entry: int) -> bool:
         costs = self.xen.costs
         if self.driver_spec.scatter_gather:
             header, frags = dev.guest_frame_fragments(buf, frame_len)
@@ -741,8 +758,6 @@ class TwinDriverManager:
             for page, off, size in frags:
                 skb.add_frag(page, off, size)
                 self.xen.charge_xen(costs.frag_chain, phase="twin:tx_frag")
-            if entry is None:
-                entry = self._xmit_entry(dev)
             result = self.hyp_driver.invoke(
                 entry, [skb_addr, dev.netdev_addr], upcalls=self.upcalls)
         except CONTAINABLE_FAULTS:
@@ -759,81 +774,6 @@ class TwinDriverManager:
             return False
         return True
 
-    def _xmit_entry(self, dev: ParavirtNetDevice) -> int:
-        xmit_vm = NetDevice(self.dom0_kernel.domain.aspace,
-                            dev.netdev_addr).hard_start_xmit
-        return self.hyp_driver.entry_for_vm_address(xmit_vm)
-
-    def guest_transmit_batch(self, dev: ParavirtNetDevice,
-                             frames: List[Tuple[int, int]]) -> List[bool]:
-        """Transmit a burst of staged guest frames (``(buf, len)`` pairs)
-        under one span, resolving the driver's ``hard_start_xmit`` entry
-        once for the whole batch. A containable fault mid-batch routes the
-        faulting frame *and the rest of the burst* through the degraded
-        per-packet path, so the guest still gets one result per frame."""
-        if dev.netdev_addr is None:
-            raise RuntimeError("guest device not bound to a NIC")
-        if len(frames) > self.tx_batch_max:
-            raise ValueError(
-                f"batch of {len(frames)} exceeds tx_batch_max="
-                f"{self.tx_batch_max}")
-        if not frames:
-            return []
-        self._h_tx_batch.observe(len(frames))
-        tracer = self.machine.obs.tracer
-        total = sum(frame_len for _, frame_len in frames)
-        span = (tracer.begin_span(SPAN_PACKET_TX, len=total,
-                                  batch=len(frames))
-                if tracer.enabled else None)
-        try:
-            return self._guest_transmit_burst(dev, frames)
-        finally:
-            if span is not None:
-                tracer.end_span(span)
-
-    def _guest_transmit_burst(self, dev: ParavirtNetDevice,
-                              frames: List[Tuple[int, int]]) -> List[bool]:
-        if self.frozen:
-            aspace = dev.kernel.domain.aspace
-            self._frozen_tx.extend(
-                (dev, buf, aspace.read_bytes(buf, n)) for buf, n in frames)
-            return [True] * len(frames)
-        if self.recovery is not None and self.recovery.degraded:
-            return [self.recovery.degraded_transmit(dev, buf, frame_len)
-                    for buf, frame_len in frames]
-        if self.num_queues > 1 and dev.netdev_addr is not None:
-            # tx-lock contention model (the driver's xmit lock, which the
-            # twin already takes): a burst from a vCPU that did not send
-            # the previous burst on this netdev pays the cache-line
-            # handoff; same-vCPU back-to-back bursts take it uncontended
-            owner = self.xen._cur_vcpu.id
-            last = self._tx_lock_owner.get(dev.netdev_addr)
-            costs = self.xen.costs
-            if last is None or last == owner:
-                self.xen.charge_xen(costs.lock_uncontended,
-                                    phase="twin:lock")
-            else:
-                self.xen.charge_xen(costs.lock_handoff,
-                                    phase="twin:lock_handoff")
-            self._tx_lock_owner[dev.netdev_addr] = owner
-        entry = self._xmit_entry(dev)
-        results: List[bool] = []
-        for index, (buf, frame_len) in enumerate(frames):
-            try:
-                results.append(
-                    self._guest_transmit(dev, buf, frame_len, entry=entry))
-            except CONTAINABLE_FAULTS as exc:
-                if self.recovery is None:
-                    raise
-                self.recovery.handle_abort(exc)
-                # per-packet fallback: this frame and the remainder of
-                # the burst go through the degraded dom0 path
-                results.extend(
-                    self.recovery.degraded_transmit(dev, b, n)
-                    for b, n in frames[index:])
-                break
-        return results
-
     # ------------------------------------------------------------------ receive
 
     def hypervisor_netif_rx(self, skb_addr: int):
@@ -848,12 +788,7 @@ class TwinDriverManager:
         # eth_type_trans already pulled the header: MAC is at data - 14.
         dst_mac = self.hyp_support.view.read_bytes(skb.data - L.ETH_HLEN,
                                                    L.ETH_ALEN)
-        if dst_mac[0] & 1:
-            # broadcast / multicast: every guest gets a copy
-            targets = list(self.guest_devices)
-        else:
-            guest = self.guests_by_mac.get(dst_mac)
-            targets = [guest] if guest is not None else []
+        targets = self.rx_targets(dst_mac)
         tracer = self.machine.obs.tracer
         if tracer.enabled:
             tracer.emit(PACKET_RX_DEMUX, skb=skb_addr, len=skb.len,
@@ -873,15 +808,24 @@ class TwinDriverManager:
             qi = self._guest_rx_queue.get(target.mac, 0)
             self.queues[qi].rx.append((target, skb_addr))
 
+    def rx_targets(self, dst_mac: bytes) -> List[ParavirtNetDevice]:
+        """The guests a frame for ``dst_mac`` goes to: every guest for
+        broadcast/multicast (group bit set), else the owning guest, if
+        any. The one rx-target rule of the fast and degraded paths."""
+        if dst_mac[0] & 1:
+            return list(self.guest_devices)
+        guest = self.guests_by_mac.get(dst_mac)
+        return [guest] if guest is not None else []
+
     def flush_rx(self):
         """'When the guest domain is scheduled next, the hypervisor copies
         the packets into guest domain buffers and raises a virtual
         interrupt' (§5.3).
 
         Packets are delivered per queue shard, in per-guest batches: each
-        guest gets at most the queue's budget per pass (NAPI-style) under
-        ONE coalesced virtual interrupt; packets over budget are requeued
-        and a softirq continues the flush. Batches for a virq-masked
+        guest gets at most ``RX_BATCH_BUDGET`` packets per pass
+        (NAPI-style) under ONE coalesced virtual interrupt; packets over
+        budget are requeued and a softirq continues the flush. Batches for a virq-masked
         guest are parked un-copied and un-charged; the guest's unmask
         hook replays them, so every packet is counted exactly once."""
         need_continuation = False
@@ -923,7 +867,7 @@ class TwinDriverManager:
             if batch is None:
                 batch = batches[guest] = []
                 order.append(guest)
-            if len(batch) < q.budget:
+            if len(batch) < RX_BATCH_BUDGET:
                 batch.append(skb_addr)
             else:
                 leftovers.append((guest, skb_addr))
@@ -1004,7 +948,11 @@ class TwinDriverManager:
     # ------------------------------------------------------------------- helpers
 
     def _charge_support(self, name: str):
-        self.hyp_support.note_call(name, direct=True)
+        """Charge a support routine the twin's own tx/rx glue called
+        (``direct``: not counted in ``hyp_support.calls``)."""
+        tracer = self.machine.obs.tracer
+        if tracer.enabled:
+            tracer.emit(SUPPORT_CALL, name=name, direct=True)
         self.xen.charge_xen(self.xen.costs.support_cost(name),
                             phase=f"support:{name}")
 

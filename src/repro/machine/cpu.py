@@ -379,12 +379,6 @@ class Cpu:
             raise RuntimeError("category stack underflow")
         self._category.pop()
 
-    def charge(self, cycles: float, category: Optional[str] = None):
-        """Charge scaled cycles (natives and kernel models; the
-        interpreter's own hot paths charge pre-scaled costs directly)."""
-        self.account.charge(category or self._category[-1],
-                            int(round(cycles * self._cycle_scale)))
-
     def charge_raw(self, cycles: int, category: Optional[str] = None):
         """Charge un-scaled cycles (used by modelled kernel costs)."""
         self.account.charge(category or self._category[-1], int(cycles))

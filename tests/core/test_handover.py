@@ -442,6 +442,6 @@ class TestDegradedTransmitLeak:
 
         monkeypatch.setattr(kernel, "transmit_skb", boom)
         with pytest.raises(RuntimeError):
-            twin.recovery.degraded_transmit(dev, dev._tx_buf, 700)
+            twin.recovery.degraded_transmit(dev, dev._tx_slots[0], 700)
         # the staged skb (struct + buffer) went back to the heap
         assert kernel.heap.allocated_bytes == baseline

@@ -155,6 +155,26 @@ class TestContentionModel:
                 == xen.costs.lock_handoff - xen.costs.lock_uncontended)
         assert twin.queues[qi].lock_owner == 1
 
+    def test_single_frame_transmit_takes_the_tx_lock(self):
+        # a single frame is a burst of one: with several queues it pays
+        # the same tx-lock charge as a burst
+        m, xen, twin, devices, nic = make_env(n_guests=1, num_queues=4,
+                                              vcpus=2)
+        dev = devices[0]
+        assert dev.transmit(300)
+        assert twin._tx_lock_owner[dev.netdev_addr] == xen._cur_vcpu.id
+        before = m.account.cycles["Xen"]
+        assert dev.transmit(300)
+        uncontended = m.account.cycles["Xen"] - before
+        xen.activate_vcpu(xen.vcpus[1])
+        xen.switch_to(dev.kernel.domain)
+        before = m.account.cycles["Xen"]
+        assert dev.transmit(300)
+        handoff = m.account.cycles["Xen"] - before
+        assert (handoff - uncontended
+                == xen.costs.lock_handoff - xen.costs.lock_uncontended)
+        assert twin._tx_lock_owner[dev.netdev_addr] == 1
+
     def test_stlb_partition_refill_on_guest_change(self):
         m, xen, twin, devices, nic = make_env(n_guests=2, num_queues=1)
         # single queue so both guests share one shard; force multi

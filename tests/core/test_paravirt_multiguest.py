@@ -31,13 +31,13 @@ def make_env(n_nics=1, n_guests=1):
 class TestFragmentation:
     def test_small_frame_header_only(self):
         m, xen, twin, (dev,), nics = make_env()
-        header, frags = dev.guest_frame_fragments(dev._tx_buf, 80)
+        header, frags = dev.guest_frame_fragments(dev._tx_slots[0], 80)
         assert len(header) == 80
         assert frags == []
 
     def test_large_frame_splits_at_96(self):
         m, xen, twin, (dev,), nics = make_env()
-        header, frags = dev.guest_frame_fragments(dev._tx_buf, 1400)
+        header, frags = dev.guest_frame_fragments(dev._tx_slots[0], 1400)
         assert len(header) == HEADER_COPY_BYTES
         assert sum(size for _, _, size in frags) == 1400 - HEADER_COPY_BYTES
 
@@ -46,7 +46,7 @@ class TestFragmentation:
         # force the staging buffer to start near a page end is not
         # possible (page-aligned alloc), but a frame longer than
         # one page minus the header must split into two fragments
-        header, frags = dev.guest_frame_fragments(dev._tx_buf,
+        header, frags = dev.guest_frame_fragments(dev._tx_slots[0],
                                                   PAGE_SIZE + 500)
         assert len(frags) == 2
         for page, off, size in frags:
@@ -55,7 +55,7 @@ class TestFragmentation:
 
     def test_fragment_pages_are_machine_addresses(self):
         m, xen, twin, (dev,), nics = make_env()
-        _, frags = dev.guest_frame_fragments(dev._tx_buf, 1400)
+        _, frags = dev.guest_frame_fragments(dev._tx_slots[0], 1400)
         for page, off, size in frags:
             frame = page >> 12
             assert m.phys.frame_allocated(frame)
@@ -112,7 +112,7 @@ class TestMultiNic:
 
     def test_explicit_binding(self):
         m, xen, twin, devices, nics = make_env(n_nics=2, n_guests=1)
-        twin.bind_device(devices[0], twin.netdev_order[1])
+        devices[0].netdev_addr = twin.netdev_order[1]
         xen.switch_to(devices[0].kernel.domain)
         assert devices[0].transmit(400)
         assert nics[1].stats.tx_packets == 1
