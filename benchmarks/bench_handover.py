@@ -20,19 +20,24 @@ and measures what a handover is allowed to cost:
 
 Everything is measured on the virtual cycle account, so results are
 bit-identical run to run and gate cleanly against
-``baselines/handover.json`` (the jit=True combo must match its
-jit=False twin exactly — the JIT changes host wall time only).
+``baselines/handover.json`` (the ``_jit`` combo, which runs the default
+superblock engine, must match its interpreter-only twin exactly — the
+JIT changes host wall time only).
 """
+
+from contextlib import nullcontext
 
 import pytest
 
 from repro.configs import build
+from repro.machine import interpreter_only
 from repro.obs.health import VIRQ_DEFER_HISTOGRAM
 
 from .common import header, report
 
 #: (vcpus, num_queues, jit) sweep — single-vCPU single-queue, SMP with
-#: RSS sharding, and the same SMP shape under the trace JIT.
+#: RSS sharding, and the same SMP shape under the trace JIT; the combos
+#: without ``jit`` run interpreter-only.
 COMBOS = ((1, 1, False), (2, 2, False), (2, 2, True))
 
 STREAM_PACKETS = 48      # per direction, around the handover
@@ -47,10 +52,10 @@ def _label(kind, vcpus, queues, jit):
     return f"{kind}_v{vcpus}_q{queues}{'_jit' if jit else ''}"
 
 
-def run_swap(vcpus, queues, jit):
+def run_swap(vcpus, queues):
     """Binary swap mid-stream on the domU-twin config."""
     sut = build("domU-twin", n_nics=2, vcpus=vcpus, num_queues=queues,
-                jit=jit, handover=True)
+                handover=True)
     mgr = sut.extras["handover"]
     injected = sent = 0
 
@@ -81,10 +86,10 @@ def run_swap(vcpus, queues, jit):
     }
 
 
-def run_rehome(vcpus, queues, jit):
+def run_rehome(vcpus, queues):
     """Queue re-homing mid-stream on the two-instance pair config."""
     sut = build("handover-pair", n_guests=2, n_nics=1, vcpus=vcpus,
-                num_queues=queues, jit=jit)
+                num_queues=queues)
     m = sut.machine
     devices = sut.extras["devices"]
     sec = sut.extras["secondary"]
@@ -126,10 +131,11 @@ def run_rehome(vcpus, queues, jit):
 def run_all():
     results = {}
     for vcpus, queues, jit in COMBOS:
-        results[_label("swap", vcpus, queues, jit)] = run_swap(
-            vcpus, queues, jit)
-        results[_label("rehome", vcpus, queues, jit)] = run_rehome(
-            vcpus, queues, jit)
+        with nullcontext() if jit else interpreter_only():
+            results[_label("swap", vcpus, queues, jit)] = run_swap(
+                vcpus, queues)
+            results[_label("rehome", vcpus, queues, jit)] = run_rehome(
+                vcpus, queues)
     return results
 
 

@@ -147,7 +147,7 @@ def _add_nics(machine: Machine, n_nics: int, num_queues: int = 1,
 
 
 def _xen_host(n_nics: int, costs: Optional[CostModel] = None,
-              iommu: bool = False, jit: bool = False, vcpus: int = 1,
+              iommu: bool = False, vcpus: int = 1,
               num_queues: int = 1, interrupt_batch: int = INTERRUPT_BATCH,
               guest: bool = False):
     """The assembly every Xen configuration shares: Machine, Xen, the
@@ -160,7 +160,6 @@ def _xen_host(n_nics: int, costs: Optional[CostModel] = None,
     ``guest``."""
     costs = costs or CostModel()
     machine = Machine()
-    machine.cpu.jit_enabled = jit
     if iommu:
         machine.attach_iommu()
     xen = Hypervisor(machine, costs=costs, vcpus=vcpus)
@@ -330,7 +329,6 @@ def build_domU_twin(n_nics: int = 5, interrupt_batch: int = INTERRUPT_BATCH,
                     costs: Optional[CostModel] = None,
                     iommu: bool = False,
                     elide: bool = False,
-                    jit: bool = False,
                     vcpus: int = 1,
                     num_queues: int = 1,
                     handover: bool = False) -> SystemUnderTest:
@@ -338,11 +336,9 @@ def build_domU_twin(n_nics: int = 5, interrupt_batch: int = INTERRUPT_BATCH,
     instead of hypervisor implementations (0 = the full TwinDrivers
     configuration; figure 10 sweeps 0..9). ``elide`` turns on
     proof-based stlb check elision (prove-then-elide, off by default).
-    ``jit`` turns on superblock trace compilation in the interpreter
-    (host wall-time only; simulated cycles are bit-identical either
-    way, off by default). ``vcpus`` / ``num_queues`` enable the SMP +
-    multiqueue layer; the defaults of 1 reproduce every paper figure
-    bit-for-bit. ``handover`` wires a :class:`HealthMonitor` and a
+    ``vcpus`` / ``num_queues`` enable the SMP + multiqueue layer; the
+    defaults of 1 reproduce every paper figure bit-for-bit. ``handover``
+    wires a :class:`HealthMonitor` and a
     :class:`HandoverManager` into ``extras["health"]`` /
     ``extras["handover"]`` (planned live upgrade, DESIGN.md §14) — it
     charges nothing until a handover is actually requested, so the
@@ -350,7 +346,7 @@ def build_domU_twin(n_nics: int = 5, interrupt_batch: int = INTERRUPT_BATCH,
     if not 0 <= n_upcalls <= len(UPCALL_SWEEP_ORDER):
         raise ValueError("n_upcalls out of range")
     machine, costs, xen, dom0_kernel, guest_kernel, nics = _xen_host(
-        n_nics, costs, iommu=iommu, jit=jit, vcpus=vcpus,
+        n_nics, costs, iommu=iommu, vcpus=vcpus,
         num_queues=num_queues, interrupt_batch=interrupt_batch, guest=True)
 
     twin = TwinDriverManager(
@@ -400,7 +396,7 @@ SCALE_MAC_PREFIX = b"\x00\x16\x3e\xab"
 
 
 def build_scale(n_guests: int = 16, vcpus: int = 4, num_queues: int = 4,
-                n_nics: int = 4, jit: bool = False) -> SystemUnderTest:
+                n_nics: int = 4) -> SystemUnderTest:
     """N twin guests, each with its own domain and kernel, under the
     credit scheduler on ``vcpus`` vCPUs with ``num_queues``-way RSS
     twins (ROADMAP item 1: scale to hundreds of guests).
@@ -412,7 +408,7 @@ def build_scale(n_guests: int = 16, vcpus: int = 4, num_queues: int = 4,
     ``extras["devices"]`` and the scheduler, as ``bench_scale.py``
     does."""
     machine, costs, xen, dom0_kernel, _, nics = _xen_host(
-        n_nics, jit=jit, vcpus=vcpus, num_queues=num_queues)
+        n_nics, vcpus=vcpus, num_queues=num_queues)
     twin = TwinDriverManager(
         xen, dom0_kernel,
         pool_size=max(256, 16 * n_nics * INTERRUPT_BATCH),
@@ -437,8 +433,8 @@ PAIR_MAC_PREFIX = b"\x00\x16\x3e\xac\x00"
 
 
 def build_handover_pair(n_guests: int = 2, vcpus: int = 1,
-                        num_queues: int = 1, n_nics: int = 1,
-                        jit: bool = False) -> SystemUnderTest:
+                        num_queues: int = 1, n_nics: int = 1
+                        ) -> SystemUnderTest:
     """Two *live* twin instances side by side — the primary at the
     historical hypervisor VA layout, the secondary ("hyp2") at the
     ``HYP2_*`` bases — so a guest's queue state can be re-homed from one
@@ -451,7 +447,7 @@ def build_handover_pair(n_guests: int = 2, vcpus: int = 1,
     that guest's frames at ``extras["secondary_nics"]`` instead — as
     ``bench_handover.py`` does."""
     machine, costs, xen, dom0_kernel, _, nics = _xen_host(
-        2 * n_nics, jit=jit, vcpus=vcpus, num_queues=num_queues)
+        2 * n_nics, vcpus=vcpus, num_queues=num_queues)
     primary_nics, secondary_nics = nics[:n_nics], nics[n_nics:]
 
     pool_size = max(256, 16 * n_nics * INTERRUPT_BATCH)

@@ -27,8 +27,9 @@ nothing may be dropped and the dom0 path is never entered. The
   in flight.
 * **swap** — replace the binary via the twin's ``reload_hyp_driver``,
   the routine recovery reloads through too, with its one reset list:
-  the CodeRegistry epoch bumps on unregister *and* register (so every
-  JIT superblock compiled against the old program is invalidated), the
+  the CodeRegistry epoch bumps on unregister *and* register (so nothing
+  keeps running the old program; the new one rebuilds its superblocks
+  from cached code, since its bytes are the same), the
   ``__svm_anchorK`` elision anchor slots are zeroed, and the stlb and
   the indirect-call translation cache are flushed. For a re-homing
   handover this phase instead detaches the guest's :class:`TwinQueue`

@@ -489,8 +489,9 @@ class TwinDriverManager:
         :meth:`reverify` that just passed. The one reset list for every
         reload (recovery and planned swap alike):
 
-        * unregister + register bump the CodeRegistry epoch twice, so no
-          JIT superblock compiled against the old program survives;
+        * unregister + register bump the CodeRegistry epoch twice, so
+          nothing keeps running the old program (the new one rebuilds
+          its superblocks from the JIT's code cache);
         * the ``__svm_anchorK`` elision anchor slots are zeroed;
         * the stlb is flushed;
         * the indirect-call translation cache is cleared."""

@@ -11,6 +11,7 @@ from .cpu import (
     NativeRoutine,
     NATIVE_BASE,
     SENTINEL_RETURN,
+    interpreter_only,
 )
 from .interrupts import InterruptController
 from .iommu import DmaWindow, Iommu, IommuFault
@@ -67,4 +68,5 @@ __all__ = [
     "ProtectionFault",
     "SENTINEL_RETURN",
     "Wire",
+    "interpreter_only",
 ]

@@ -16,7 +16,9 @@ Everything the paper's mechanisms rely on is modelled for real:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -28,7 +30,7 @@ from ..isa.operands import Imm, Label, Mem, Reg
 from ..isa.program import Program
 from ..isa.registers import SUBREGISTERS
 from .jit import JitState, compile_superblock
-from .memory import PACK, UNPACK, PhysicalMemory
+from .memory import COLD_PAGE, PACK, UNPACK, PhysicalMemory
 from .paging import AddressSpace
 
 #: Return-address sentinel that terminates an invocation from Python.
@@ -176,7 +178,8 @@ class LoadedProgram:
         #: instrument generation, bumped on every hook change; running
         #: superblocks re-check it after hook/native boundaries.
         self._igen = 0
-        #: lazily-created per-program JIT state (see ``jit_state``).
+        #: per-program JIT state, created when the dispatch loop first
+        #: enters the program (see ``jit_state``).
         self._jit: Optional[JitState] = None
         self.symbols = {
             label: (self.addrs[i] if i < len(self.addrs) else self.end)
@@ -209,17 +212,16 @@ class LoadedProgram:
             if 0 <= index < n:
                 self.handlers[index] = None
         if self._jit is not None:
-            self._jit.counts.clear()
-            self._jit.superblocks.clear()
+            self._jit.reset()
 
-    def jit_state(self, epoch: int) -> JitState:
-        """This program's superblock cache, valid for registry ``epoch``
-        (stale state from before a reload/re-verification is reset)."""
+    def jit_state(self) -> JitState:
+        """This program's hot counters and superblocks. They stay valid
+        across unregister/register of this object: its bytes and base
+        never change (a reload makes a new ``LoadedProgram``, whose
+        identical traces reuse the cached code, see ``jit.py``)."""
         js = self._jit
         if js is None:
-            js = self._jit = JitState(self, epoch)
-        elif js.epoch != epoch:
-            js.reset(epoch)
+            js = self._jit = JitState(self)
         return js
 
 
@@ -302,6 +304,13 @@ class NativeRegistry:
 class Cpu:
     """The interpreter. One CPU, as in the paper's uniprocessor profile."""
 
+    #: block-head executions before a trace is compiled into a
+    #: superblock (per instance, or for every CPU on the class).
+    #: ``math.inf`` never promotes a head: every instruction runs through
+    #: its handler, the interpreter-only reference the JIT is checked
+    #: against (see ``interpreter_only``).
+    jit_threshold = 16
+
     def __init__(self, phys: PhysicalMemory, code: CodeRegistry,
                  natives: NativeRegistry, account: CycleAccount,
                  costs: Optional[InstructionCosts] = None):
@@ -322,8 +331,9 @@ class Cpu:
         self.executed = 0
         self.max_steps_per_call = 5_000_000
         #: cache-hot virtual ranges (stacks, stlb), kept per page:
-        #: vpage -> the hot ``(lo, hi)`` intervals clipped to that page.
-        self.hot_pages: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        #: vpage -> a per-byte mask of the page, 1 where the byte is hot
+        #: (pages with no hot byte are absent: ``COLD_PAGE``).
+        self.hot_pages: Dict[int, bytes] = {}
         #: multiplies interpreter cycle charges (driver-speed calibration);
         #: setting it reprices the pre-scaled ``_c_*`` costs below.
         self.cycle_scale = 1.0
@@ -336,18 +346,16 @@ class Cpu:
         #: cycle-attribution profiler (set by Machine); None for bare
         #: test CPUs. Guarded exactly like the tracer on hot paths.
         self.profiler = None
-        #: (LoadedProgram, registry-epoch) of the dispatch loop's current
-        #: program, read by ``jit_stats``.
-        self._prog_cache: Optional[Tuple[LoadedProgram, int]] = None
-        #: trace-JIT (superblock compilation): off by default, enabled
-        #: per-configuration via ``configs.build(..., jit=True)``.
-        self.jit_enabled = False
-        #: block-head executions before a trace is compiled.
-        self.jit_threshold = 16
-        #: compile-time stats (kept off the metrics registry so enabling
-        #: the JIT does not perturb any observable counter set).
+        #: the dispatch loop's current program, read by ``jit_stats``.
+        self._prog_cache: Optional[LoadedProgram] = None
+        #: CPU-lifetime JIT counters (kept off the metrics registry so the
+        #: engine does not perturb any observable counter set): fresh
+        #: ``compile()`` calls, superblocks built from cached code, heads
+        #: that could not be compiled, and superblock entries.
         self.jit_compiles = 0
+        self.jit_reuses = 0
         self.jit_blacklisted = 0
+        self.jit_entries = 0
 
     # -- accounting ----------------------------------------------------------
 
@@ -421,17 +429,18 @@ class Cpu:
     # -- memory -------------------------------------------------------------------
 
     def add_hot_range(self, lo: int, hi: int):
-        """Price RAM accesses in ``[lo, hi)`` at ``mem_hot``. The range is
-        split at page lines so an access tests only its own page."""
+        """Price RAM accesses in ``[lo, hi)`` at ``mem_hot``: mark the
+        range's bytes in each page's hot mask."""
         for vpage in range(lo >> 12, ((hi - 1) >> 12) + 1):
-            part = (max(lo, vpage << 12), min(hi, (vpage + 1) << 12))
-            spans = self.hot_pages.get(vpage, ())
-            if part not in spans:
-                self.hot_pages[vpage] = spans + (part,)
+            start = max(lo, vpage << 12) - (vpage << 12)
+            stop = min(hi, (vpage + 1) << 12) - (vpage << 12)
+            mask = bytearray(self.hot_pages.get(vpage, COLD_PAGE))
+            mask[start:stop] = b"\x01" * (stop - start)
+            self.hot_pages[vpage] = bytes(mask)
 
-    # RAM accesses cost ``_c_mem_hot`` inside a hot range, ``_c_mem``
-    # elsewhere; the test is written out on each path because it runs on
-    # every access (the JIT inlines the same test).
+    # RAM accesses cost ``_c_mem_hot`` where the first byte's hot mask is
+    # set, ``_c_mem`` elsewhere; the test is written out on each path
+    # because it runs on every access (the JIT inlines the same test).
 
     def read_mem(self, vaddr: int, size: int) -> int:
         vaddr &= MASK32
@@ -439,12 +448,10 @@ class Cpu:
         data = self.address_space.read_pages.get(vaddr >> 12)
         if data is None or offset + size > 0x1000:
             return self._mem_miss(vaddr, size, None)
-        cost = self._c_mem
-        for lo, hi in self.hot_pages.get(vaddr >> 12, ()):
-            if lo <= vaddr < hi:
-                cost = self._c_mem_hot
-                break
-        self.account.charge(self._category[-1], cost)
+        self.account.charge(
+            self._category[-1],
+            self._c_mem_hot if self.hot_pages.get(vaddr >> 12, COLD_PAGE)[
+                offset] else self._c_mem)
         return UNPACK[size](data, offset)[0]
 
     def write_mem(self, vaddr: int, size: int, value: int):
@@ -454,12 +461,10 @@ class Cpu:
         if data is None or offset + size > 0x1000:
             self._mem_miss(vaddr, size, value)
             return
-        cost = self._c_mem
-        for lo, hi in self.hot_pages.get(vaddr >> 12, ()):
-            if lo <= vaddr < hi:
-                cost = self._c_mem_hot
-                break
-        self.account.charge(self._category[-1], cost)
+        self.account.charge(
+            self._category[-1],
+            self._c_mem_hot if self.hot_pages.get(vaddr >> 12, COLD_PAGE)[
+                offset] else self._c_mem)
         PACK[size](data, offset, value & _SIZE_MASK[size])
 
     def _mem_miss(self, vaddr: int, size: int, value: Optional[int]):
@@ -472,12 +477,10 @@ class Cpu:
         region = self.phys.mmio_region_at(paddr)
         if region is not None:
             cost = self._c_mmio
+        elif self.hot_pages.get(vaddr >> 12, COLD_PAGE)[vaddr & 0xFFF]:
+            cost = self._c_mem_hot
         else:
             cost = self._c_mem
-            for lo, hi in self.hot_pages.get(vaddr >> 12, ()):
-                if lo <= vaddr < hi:
-                    cost = self._c_mem_hot
-                    break
         self.account.charge(self._category[-1], cost)
         if write:
             value &= _SIZE_MASK[size]
@@ -599,26 +602,28 @@ class Cpu:
             self.eip = saved_eip
 
     def _run_loop(self):
-        """The dispatch loop, for both engines, until the invocation's
-        sentinel return address comes back.
+        """The dispatch loop until the invocation's sentinel return
+        address comes back.
 
         The current program's tables live in locals; the registry is
         consulted only when ``eip`` leaves the program or the registry
         epoch moves (``lookup`` raises the unmapped and mid-instruction
-        faults). Each instruction advances ``eip`` to its fall-through,
-        charges the base ALU cost at that pc, then runs its compiled
-        handler, which is the reference semantics. With the JIT on, hot
-        block heads are counted and promoted to superblocks, which run
-        only with no charge shadow on the account and at the scale they
-        were compiled for; cold, blacklisted or shadowed heads take the
-        handler path. The budget counts executed instructions, nested
-        invocations included, for both engines."""
+        faults). Block heads are counted and, at ``jit_threshold``,
+        promoted to superblocks, which run only with no charge shadow on
+        the account and at the scale they were compiled for; under a
+        shadow (the profiler) nothing is counted or compiled either, so
+        observing a run does not change how later runs are traced.
+        Everything
+        else — cold, blacklisted or shadowed heads and the code between
+        them — advances ``eip`` to its fall-through, charges the base ALU
+        cost at that pc, then runs its compiled handler, which is the
+        reference semantics. The budget counts executed instructions,
+        nested invocations included, for both paths."""
         budget = self.max_steps_per_call
         limit = self.executed + budget
         code = self.code
         account = self.account
         category = self._category
-        jit = self.jit_enabled
         threshold = self.jit_threshold
         account_dict = account.__dict__
         epoch = -1
@@ -634,40 +639,37 @@ class Cpu:
             else:
                 loaded, index = code.lookup(eip)
                 epoch = code.epoch
-                self._prog_cache = (loaded, epoch)
+                self._prog_cache = loaded
                 base, end = loaded.base, loaded.end
                 addr_to_index = loaded.addr_to_index
                 next_addrs = loaded.next_addrs
                 handlers = loaded.handlers
-                if jit:
-                    js = loaded.jit_state(epoch)
-                    superblocks, counts = js.superblocks, js.counts
-                    leaders = js.leaders
-            if jit:
-                sb = superblocks.get(eip)
-                if sb is None:
-                    if eip in leaders:
-                        count = counts.get(eip, 0) + 1
-                        if count < threshold:
-                            counts[eip] = count
-                        else:
-                            compiled = compile_superblock(self, loaded, eip)
-                            counts.pop(eip, None)
-                            if compiled is not None:
-                                superblocks[eip] = compiled
-                                self.jit_compiles += 1
-                                continue
-                            superblocks[eip] = False
-                            self.jit_blacklisted += 1
-                elif (sb is not False and "charge" not in account_dict
-                        and sb.scale == self._cycle_scale):
-                    sb.entries += 1
-                    sb.fn(self)
-                    if self.executed > limit:
-                        raise CpuBudgetExceeded(
-                            f"driver executed more than {budget} "
-                            f"instructions")
-                    continue
+                js = loaded.jit_state()
+                superblocks, counts = js.superblocks, js.counts
+                leaders = js.leaders
+            sb = superblocks.get(eip)
+            if sb is None:
+                if eip in leaders and "charge" not in account_dict:
+                    count = counts.get(eip, 0) + 1
+                    if count < threshold:
+                        counts[eip] = count
+                    else:
+                        compiled = compile_superblock(self, loaded, eip)
+                        counts.pop(eip, None)
+                        if compiled is not None:
+                            superblocks[eip] = compiled
+                            continue
+                        superblocks[eip] = False
+                        self.jit_blacklisted += 1
+            elif (sb is not False and "charge" not in account_dict
+                    and sb.scale == self._cycle_scale):
+                self.jit_entries += 1
+                sb.fn(self)
+                if self.executed > limit:
+                    raise CpuBudgetExceeded(
+                        f"driver executed more than {budget} "
+                        f"instructions")
+                continue
             self.executed += 1
             self.eip = next_addrs[index]
             handler = handlers[index]
@@ -707,18 +709,16 @@ class Cpu:
         self.eip = self.pop()
 
     def jit_stats(self) -> Dict[str, int]:
-        """Aggregate superblock statistics across cached programs (from
-        the current prog-cache; compile counters are CPU-lifetime)."""
-        stats = {"compiles": self.jit_compiles,
-                 "blacklisted": self.jit_blacklisted,
-                 "superblocks": 0, "entries": 0}
-        cache = self._prog_cache
-        if cache is not None and cache[0]._jit is not None:
-            for sb in cache[0]._jit.superblocks.values():
-                if sb:
-                    stats["superblocks"] += 1
-                    stats["entries"] += sb.entries
-        return stats
+        """JIT counters: CPU-lifetime compiles, reuses, blacklisted heads
+        and superblock entries (a reload never takes them back), plus the
+        superblocks the current program holds."""
+        program = self._prog_cache
+        js = program._jit if program is not None else None
+        return {"compiles": self.jit_compiles, "reuses": self.jit_reuses,
+                "blacklisted": self.jit_blacklisted,
+                "entries": self.jit_entries,
+                "superblocks": sum(1 for sb in js.superblocks.values()
+                                   if sb) if js is not None else 0}
 
     # -- string instructions ----------------------------------------------------------
 
@@ -767,6 +767,20 @@ class Cpu:
                 break
             if instr.prefix == "repne" and zf:
                 break
+
+
+@contextmanager
+def interpreter_only():
+    """Every CPU without its own ``jit_threshold`` runs interpreter-only
+    inside the block — including the ones a builder creates there — so a
+    configuration can be built and driven as the reference engine."""
+    saved = Cpu.jit_threshold
+    Cpu.jit_threshold = math.inf
+    try:
+        yield
+    finally:
+        Cpu.jit_threshold = saved
+
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
-"""Trace-JIT: superblock compilation for the twin interpreter.
+"""Trace-JIT: superblock compilation, the CPU's execution engine.
 
-PR 4 replaced the mnemonic-dispatch interpreter with per-instruction
-compiled closures (~26%). This module is the next rung on the same
-ladder, the one the dynamic-translation literature (QEMU's TCG, the
-software-only passthrough line of work) climbs after per-instruction
-caching: *superblocks*. When a basic-block head gets hot, the chain of
-blocks starting there is compiled into a single straight-line Python
-function — operand thunks fused into expressions, per-instruction
-``charge()`` calls batched into one accumulated charge per block, the
-dispatch loop's registry/handler overhead paid once per entry instead
-of once per instruction. The 10-instruction SVM fast path (and
+The interpreter turns each instruction into a compiled handler closure.
+This module is the next rung on the same ladder, the one the
+dynamic-translation literature (QEMU's TCG, the software-only
+passthrough line of work) climbs after per-instruction caching:
+*superblocks*. When a basic-block head gets hot, the chain of blocks
+starting there is compiled into a single straight-line Python function
+— operand thunks fused into expressions, per-instruction ``charge()``
+calls batched into one accumulated charge per block, the dispatch
+loop's registry/handler overhead paid once per entry instead of once
+per instruction. It is always on; the handlers remain the cold tier
+and the reference semantics. The 10-instruction SVM fast path (and
 its proof-elided anchor-reload form) inlines like any other run of
 straight-line code, which is the point: that sequence dominates the
 twin driver's dynamic instruction count.
@@ -31,20 +32,29 @@ Correctness contract (the part worth reading twice):
   emitted code materializes ``cpu.eip`` (the faulting instruction's
   fall-through, exactly what the dispatch loop leaves there) and
   ``cpu.executed``. Registers live in ``R_<name>`` locals inside the
-  trace and are stored back into ``cpu.regs`` before every exit and
-  call-out, then reloaded after each call-out; flags are always
-  architectural, written in interpreter order.
+  trace; the ones written since the last full store-back are stored
+  into ``cpu.regs`` before every exit and call-out, and all are
+  reloaded after each call-out; flags are always architectural,
+  written in interpreter order.
 * **Superblocks never run under a charge shadow.** The dispatch loop
   checks ``"charge" not in account.__dict__`` (the profiler or any
   other shadow) and ``sb.scale == cpu.cycle_scale`` before entering;
   otherwise the instruction runs through its compiled handler, whose
   behaviour is the definition of correct.
-* **Invalidation.** Superblocks cache on the ``LoadedProgram`` keyed by
-  the ``CodeRegistry`` epoch (reload/recovery/re-verification bumps it,
-  exactly like the PR 4 handler tables) and by the program's
-  instrument generation (hooks registered after warm-up must fire).
-  Both are also re-checked after any mid-trace native call, because a
-  native can reload programs or install shadows.
+* **Invalidation.** Superblocks live on their ``LoadedProgram``, whose
+  bytes and base never change; a reload makes a new program object,
+  and the dispatch loop re-resolves the program whenever the
+  ``CodeRegistry`` epoch moves. Changing the program's instrument map
+  (hooks registered after warm-up must fire) drops its superblocks.
+  The epoch and the instrument generation are also re-checked after
+  any mid-trace native call, because a native can reload programs or
+  install shadows.
+* **Code cache.** Compiled code objects are cached process-wide by
+  their source text (bounded, least recently used first out), and the
+  source is a pure function of the program's content. A reload of the
+  same bytes at the same base — every handover swap and recovery —
+  re-emits identical source and re-executes the cached code against the
+  new program's namespace, with no ``compile()``.
 
 Trace shape: straight-line through fall-throughs and followed direct
 jumps; conditional branches are predicted not-taken and compile to a
@@ -52,38 +62,48 @@ guarded side exit; a branch back to the trace head turns the whole
 trace into a capped loop (the common ``while`` shape of the driver's
 copy and descriptor-ring loops); indirect branches, traps and
 unsupported forms end the trace *before* the instruction so its handler
-executes it from an architecturally clean state.
+executes it from an architecturally clean state. A trace also ends on
+reaching a head that already has a superblock (the dispatcher enters
+that one, so no path is emitted twice) and after ``MAX_TRACE_INSTRS``
+instructions, where the rest becomes a trace of its own. Each memory
+access is a page-cache hit path priced in one line and one call to the
+shared miss path (``_miss``).
 """
 
 from __future__ import annotations
 
+import re
+from collections import OrderedDict
 from operator import itemgetter
 from typing import Dict, List, Optional
 
 from ..isa.instructions import Instruction
 from ..isa.operands import Imm, Mem, Reg
 from ..isa.registers import SUBREGISTERS
-from .memory import PACK, UNPACK
+from .memory import COLD_PAGE, PACK, UNPACK
 
 MASK32 = 0xFFFFFFFF
 
 #: growth caps: instructions per trace, and loop iterations a compiled
 #: back-edge may take before returning to the dispatcher (which
-#: re-checks the call budget).
-MAX_TRACE_INSTRS = 512
+#: re-checks the call budget). The instruction cap also bounds the
+#: memory one ``compile()`` takes: CPython keeps the peak of its largest
+#: compile as resident set, and that grows with the source.
+MAX_TRACE_INSTRS = 64
 LOOP_CAP = 1024
 
-#: little-endian accessors baked into every superblock namespace for the
-#: inline RAM fast path (one page-cache ``get`` + one struct call).
-_MEM_HELPERS = {"u2": UNPACK[2], "u4": UNPACK[4],
-                "p2": PACK[2], "p4": PACK[4]}
+#: bound on the process-wide code cache (compiled superblock code
+#: objects, least recently used evicted first)
+CODE_CACHE_MAX = 256
 
 _FULL_REGS = frozenset(
     ("eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi"))
 
-#: placeholder lines for the register store-back and reload, expanded by
-#: ``render`` once the trace's register sets are known
-_SPILL = "#spill"
+#: placeholders expanded by ``render`` once the trace's register sets
+#: are known: a store-back line (``#spill N``), a store-back dict inside
+#: a miss call (``@SN@``), and the register reload line
+_SPILL_LINE = re.compile(r"#spill (\d+)$")
+_SPILL_DICT = re.compile(r"@S(\d+)@")
 _RELOAD = "#reload"
 
 #: condition expressions over the hoisted flags dict ``f`` — same truth
@@ -108,50 +128,98 @@ class Superblock:
     """One compiled trace: entry point plus the metadata the dispatcher
     needs to decide whether it may run."""
 
-    __slots__ = ("fn", "head", "scale", "n_instrs", "source", "entries")
+    __slots__ = ("fn", "head", "scale", "n_instrs")
 
-    def __init__(self, fn, head: int, scale: float, n_instrs: int,
-                 source: str):
+    def __init__(self, fn, head: int, scale: float, n_instrs: int):
         self.fn = fn
         self.head = head
         self.scale = scale
         self.n_instrs = n_instrs
-        self.source = source
-        self.entries = 0
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        return (f"<superblock @{self.head:#010x} {self.n_instrs} instrs "
-                f"{self.entries} entries>")
+        return f"<superblock @{self.head:#010x} {self.n_instrs} instrs>"
 
 
 class JitState:
     """Per-LoadedProgram JIT state: hot counters keyed by block-head
-    address, compiled superblocks, and the registry epoch they are
-    valid for. ``False`` in ``superblocks`` blacklists a head whose
-    trace could not be compiled."""
+    address and compiled superblocks. ``False`` in ``superblocks``
+    blacklists a head whose trace could not be compiled. A program's
+    bytes and base never change, so the state lives as long as the
+    program; only an instrument change resets it."""
 
-    __slots__ = ("epoch", "counts", "superblocks", "leaders")
+    __slots__ = ("counts", "superblocks", "leaders")
 
-    def __init__(self, loaded, epoch: int):
+    def __init__(self, loaded):
         self.leaders = _block_leaders(loaded)
         self.counts: Dict[int, int] = {}
         self.superblocks: Dict[int, object] = {}
-        self.epoch = epoch
 
-    def reset(self, epoch: int):
+    def reset(self):
         self.counts.clear()
         self.superblocks.clear()
-        self.epoch = epoch
 
 
-def _block_leaders(loaded) -> frozenset:
+#: process-wide code cache: a superblock's source -> its code object.
+#: The source is a pure function of the program's bytes and base, the
+#: costs and scale, the instrumented sites and which heads already had
+#: superblocks, so a reload of identical bytes (handover swap, recovery)
+#: emits identical source and re-executes cached code against the new
+#: program's namespace instead of compiling it again. Sharing it across
+#: machines is safe: a code object depends on nothing but its source, so
+#: only host time and the compile/reuse split can differ between runs.
+_code_cache: "OrderedDict[str, object]" = OrderedDict()
+
+
+def _cached_code(source: str):
+    """(code object for ``source``, whether it was compiled fresh)."""
+    code = _code_cache.get(source)
+    if code is not None:
+        _code_cache.move_to_end(source)
+        return code, False
+    code = compile(source, "<superblock>", "exec")
+    _code_cache[source] = code
+    if len(_code_cache) > CODE_CACHE_MAX:
+        _code_cache.popitem(last=False)
+    return code, True
+
+
+def _miss(cpu, eip, pending, va, size, value, dirty):
+    """The cold half of every inlined access: a page-cache miss or a
+    page-straddling access (a read when ``value`` is None), called once
+    the trace has flushed its accumulator. Materializes the precise
+    state (``eip``, ``executed``, the registers the trace has dirtied),
+    runs ``Cpu.read_mem``/``write_mem`` — which translate, fault,
+    dispatch MMIO and fill the cache — and takes the pending count back,
+    since the trace's main path still carries it. Returns the value read
+    and the re-read page caches (model code may have switched address
+    spaces)."""
+    cpu.eip = eip
+    cpu.executed += pending
+    cpu.regs.update(dirty)
+    if value is None:
+        value = cpu.read_mem(va, size)
+    else:
+        cpu.write_mem(va, size, value)
+    cpu.executed -= pending
+    space = cpu.address_space
+    return value, space.read_pages, space.write_pages
+
+
+#: names every superblock namespace holds: little-endian accessors for
+#: the inline RAM fast path, the shared miss path, and the all-cold
+#: hot-range mask
+_NAMESPACE = {"u2": UNPACK[2], "u4": UNPACK[4], "p2": PACK[2],
+              "p4": PACK[4], "M": _miss, "Z": COLD_PAGE}
+
+
+def _block_leaders(loaded) -> set:
     """Addresses where a superblock may start: function entries, branch
     targets, and fall-throughs of control flow (so side-exit landing
     pads are themselves promotable — nested loops each get their own
-    trace)."""
+    trace). A trace cut at ``MAX_TRACE_INSTRS`` adds its end."""
     addrs = loaded.addrs
     if not addrs:
-        return frozenset()
+        return set()
     leaders = {addrs[0]}
     for addr in loaded.symbols.values():
         if addr in loaded.addr_to_index:
@@ -163,7 +231,7 @@ def _block_leaders(loaded) -> frozenset:
             target = loaded.targets.get(i)
             if target is not None and target in loaded.addr_to_index:
                 leaders.add(target)
-    return frozenset(leaders)
+    return leaders
 
 
 class _Unsupported(Exception):
@@ -195,10 +263,20 @@ class _Emitter:
         self.uses_natives = False
         self.has_backedge = False
         self.n_instrs = 0
-        #: registers the trace touches (held in ``R_<name>`` locals) and
-        #: the subset it writes (stored back at every exit and call-out)
+        #: the program's superblocks (the trace ends on reaching a head
+        #: that has one) and block leaders (a capped trace adds its end)
+        self.js = loaded.jit_state()
+        #: registers the trace touches (held in ``R_<name>`` locals)
         self.regs_used: set = set()
-        self.regs_written: set = set()
+        #: registers written since the main path last stored every local
+        #: back (a native call or delegated handler), and whether that
+        #: happened since the head. In a loop, what a back-edge leaves
+        #: dirty is still dirty at the top of the next iteration.
+        self.dirty: set = set()
+        self.synced = False
+        self.backedge_dirty: set = set()
+        #: per store-back site: (dirty registers, synced), see ``render``
+        self.spill_sites: List[tuple] = []
 
     # -- infrastructure ------------------------------------------------------
 
@@ -250,12 +328,18 @@ class _Emitter:
             self.emit("acc = 0", ind)
             self.acc_dirty = False
 
+    def spill_site(self) -> int:
+        """Record a store-back of the currently dirty registers; returns
+        the site's number for a placeholder ``render`` expands."""
+        self.spill_sites.append((frozenset(self.dirty), self.synced))
+        return len(self.spill_sites) - 1
+
     def spill(self, ind: int = 0):
-        """Store the register locals back into ``cpu.regs`` before an
-        exit or a call-out (expanded in ``render``, once the written set
-        is known). The locals always hold the architectural values, so
-        storing a register this path did not write is a no-op."""
-        self.emit(_SPILL, ind)
+        """Store the dirty register locals back into ``cpu.regs`` before
+        an exit or a call-out. The locals always hold the architectural
+        values, so a register not written since the last full store-back
+        needs none."""
+        self.emit(f"#spill {self.spill_site()}", ind)
 
     def emit_side_exit(self, eip_expr: str, ind: int):
         """Exit code inside a conditional branch: materialize state and
@@ -281,14 +365,22 @@ class _Emitter:
             self.pending = 0
         self.emit("return", ind)
 
+    def call_out(self, call: str):
+        """Store every dirty register, run ``call`` (a native or a
+        delegated handler, which may run arbitrary model code), then
+        re-read the registers and page caches: nested driver code may
+        have changed registers, and an upcall may have switched
+        ``cpu.address_space``. Remapping needs nothing here — the caches
+        are invalidated in place by whoever remaps."""
+        self.spill()
+        self.emit(call)
+        self.dirty.clear()
+        self.synced = True
+
     def rehoist(self, ind: int = 0):
-        """Re-read the registers and page caches after anything that can
-        run model code (a native, a hook, a missed access that may have
-        been MMIO): nested driver code may have changed registers, and an
-        upcall may have switched ``cpu.address_space``. Remapping needs
-        nothing here — the caches are invalidated in place by whoever
-        remaps. Forces the memory hoists on: later memory ops in the
-        trace depend on the re-read even when none were emitted yet."""
+        """Re-read the registers and page caches after a call-out.
+        Forces the memory hoists on: later memory ops in the trace
+        depend on the re-read even when none were emitted yet."""
         self.uses_mem = True
         self.emit(_RELOAD, ind)
         self.emit("rp = cpu.address_space.read_pages", ind)
@@ -335,7 +427,7 @@ class _Emitter:
     def reg_write(self, name: str, size: int, expr: str, ind: int = 0):
         mask = (1 << (size * 8)) - 1
         parent = name if name in _FULL_REGS else SUBREGISTERS[name]
-        self.regs_written.add(parent)
+        self.dirty.add(parent)
         local = self.reg(parent)
         if name in _FULL_REGS:
             if size == 4:
@@ -365,41 +457,26 @@ class _Emitter:
 
     # -- memory --------------------------------------------------------------
 
-    def emit_cost(self, va: str, ind: int):
-        """Inline the interpreter's hot-range RAM pricing into the
-        accumulator."""
-        memc = self.scaled(self.costs.mem)
-        hotc = self.scaled(self.costs.mem_hot)
-        c = self.temp("c")
-        self.emit(f"{c} = {memc}", ind)
-        self.emit(f"for lohi in hp.get({va} >> 12, ()):", ind)
-        self.emit(f"if lohi[0] <= {va} < lohi[1]:", ind + 1)
-        self.emit(f"{c} = {hotc}", ind + 2)
-        self.emit("break", ind + 2)
-        self.emit(f"acc += {c}", ind)
-        self.acc_dirty = True
-
     def mem_access(self, ea: str, size: int, value: Optional[str],
                    next_addr: int, ind: int) -> str:
         """Inline ``Cpu.read_mem`` (``value`` None) or ``Cpu.write_mem``.
 
         A hit in the address space's page cache (``rp``/``wp``, shared
-        with the interpreter) is priced and accessed in place, one dict
-        ``get`` plus one ``Struct`` call; it cannot fault or observe
-        anything, so ``cpu.eip`` and ``cpu.executed`` are left for the
-        next sync. A miss or a page-straddling access materializes both,
-        flushes the accumulator (the access may be MMIO, which observes
-        the clock) and runs the interpreter's method, which translates,
-        faults, dispatches and fills the cache; the pending count is
-        taken back afterwards because the main path still carries it."""
+        with the interpreter) is priced in one line — the page's hot-byte
+        mask decides between the hot and cold RAM cost, as in the
+        interpreter — and accessed in place, one dict ``get`` plus one
+        ``Struct`` call; it cannot fault or observe anything, so
+        ``cpu.eip`` and ``cpu.executed`` are left for the next sync. A
+        miss or a page-straddling access is one call to the shared miss
+        path (``_miss``) after the accumulator is flushed (the access may
+        be MMIO, which observes the clock); the helper materializes the
+        precise state and runs the interpreter's method, and the
+        registers are re-read after it."""
         self.uses_mem = True
-        if self.buf:
-            self.emit(f"acc += {self.buf}", ind)
-            self.buf = 0
-            self.acc_dirty = True
+        # constant charges still buffered ride along with this access's
+        buf, self.buf = self.buf, 0
         va = self.temp("va")
         d = self.temp("d")
-        v = self.temp("v")
         self.emit(f"{va} = {ea}", ind)
         self.emit(f"{d} = {'rp' if value is None else 'wp'}.get({va} >> 12)",
                   ind)
@@ -408,8 +485,15 @@ class _Emitter:
                       f"{4096 - size}:", ind)
         else:
             self.emit(f"if {d} is not None:", ind)
-        self.emit_cost(va, ind + 1)
+        memc = buf + self.scaled(self.costs.mem)
+        hotc = buf + self.scaled(self.costs.mem_hot)
+        if memc == hotc:
+            self.emit(f"acc += {memc}", ind + 1)
+        else:
+            self.emit(f"acc += {hotc} if hp.get({va} >> 12, Z)"
+                      f"[{va} & 4095] else {memc}", ind + 1)
         mask = (1 << (size * 8)) - 1
+        v = self.temp("v") if value is None else None
         if value is None and size == 1:
             self.emit(f"{v} = {d}[{va} & 4095]", ind + 1)
         elif value is None:
@@ -421,20 +505,14 @@ class _Emitter:
             pk = "p2" if size == 2 else "p4"
             self.emit(f"{pk}({d}, {va} & 4095, ({value}) & {mask})", ind + 1)
         self.emit("else:", ind)
-        if self.cur_eip != next_addr:
-            self.emit(f"cpu.eip = {next_addr}", ind + 1)
-        if self.pending:
-            self.emit(f"cpu.executed += {self.pending}", ind + 1)
-        self.emit("charge(cat, acc)", ind + 1)
+        # the accumulator is drained here, not in the helper: if the
+        # access faults, the ``finally`` flush must find it empty
+        self.emit(f"charge(cat, acc + {buf})" if buf else "charge(cat, acc)",
+                  ind + 1)
         self.emit("acc = 0", ind + 1)
-        self.spill(ind + 1)
-        if value is None:
-            self.emit(f"{v} = rm({va}, {size})", ind + 1)
-        else:
-            self.emit(f"wm({va}, {size}, {value})", ind + 1)
-        if self.pending:
-            self.emit(f"cpu.executed -= {self.pending}", ind + 1)
-        self.rehoist(ind + 1)
+        self.emit(f"{v or '_'}, rp, wp = M(cpu, {next_addr}, {self.pending}, "
+                  f"{va}, {size}, {value}, @S{self.spill_site()}@)", ind + 1)
+        self.emit(_RELOAD, ind + 1)
         if self.cur_eip != next_addr:
             self.cur_eip = None           # only the miss path moved it
         self.acc_dirty = True        # branches disagree; finally covers it
@@ -456,12 +534,14 @@ class _Emitter:
                                    ind)
         raise _Unsupported(f"unreadable operand {op!r}")
 
-    def as_var(self, expr: str, ind: int = 0) -> str:
-        """Bind an expression to a temp when it will be used twice (a
-        register local is not stable: the instruction may overwrite it
-        before the second use)."""
+    def as_var(self, expr: str, ind: int = 0, stable: bool = False) -> str:
+        """Bind an expression to a temp when it will be used twice. A
+        register local is not stable in general: the instruction may
+        overwrite it, or a memory miss reload it, before the second use.
+        ``stable`` says neither can happen (no memory operand, and the
+        register is written last)."""
         if expr.isdigit() or (expr.isidentifier()
-                              and not expr.startswith("R_")):
+                              and (stable or not expr.startswith("R_"))):
             return expr
         v = self.temp()
         self.emit(f"{v} = {expr}", ind)
@@ -517,8 +597,7 @@ class _Emitter:
         sign = 1 << (size * 8 - 1)
         rv = self.temp("x")
         self.emit(f"{rv} = {expr}", ind)
-        self.emit("f['cf'] = False", ind)
-        self.emit("f['of'] = False", ind)
+        self.emit("f['cf'] = f['of'] = False", ind)
         self.emit_zsf(rv, sign, ind)
         return rv
 
@@ -611,10 +690,11 @@ class _Emitter:
             return next_index
 
         if m in ("add", "sub", "and", "or", "xor", "imul", "cmp", "test"):
+            stable = not any(isinstance(op, Mem) for op in instr.operands)
             a = self.as_var(
-                self.read_operand(instr.dst, size, next_addr))
+                self.read_operand(instr.dst, size, next_addr), stable=stable)
             b = self.as_var(
-                self.read_operand(instr.src, size, next_addr))
+                self.read_operand(instr.src, size, next_addr), stable=stable)
             if m == "add":
                 rv = self.emit_flags_add(a, b, size, 0)
             elif m in ("sub", "cmp"):
@@ -677,7 +757,8 @@ class _Emitter:
         if m in ("inc", "dec", "neg", "not"):
             mask = (1 << (size * 8)) - 1
             v = self.as_var(
-                self.read_operand(instr.dst, size, next_addr))
+                self.read_operand(instr.dst, size, next_addr),
+                stable=isinstance(instr.dst, Reg))
             if m == "inc":
                 # inc/dec preserve CF: the interpreter saves/restores it
                 # around _flags_add, net effect is "don't touch cf"
@@ -733,8 +814,7 @@ class _Emitter:
             self.uses_natives = True
             name = self.bake("N", routine)
             self.flush()
-            self.spill()
-            self.emit(f"cpu._invoke_native({name})")
+            self.call_out(f"cpu._invoke_native({name})")
             self.native_guard(next_addr)
             return next_index
         if m == "ret":
@@ -754,8 +834,7 @@ class _Emitter:
                 name = self.bake("N", routine)
                 self.sync(next_addr)
                 self.flush()
-                self.spill()
-                self.emit(f"cpu._invoke_native({name})")
+                self.call_out(f"cpu._invoke_native({name})")
                 self.emit("return")
                 return None
             if target == self.head_addr:
@@ -791,14 +870,14 @@ class _Emitter:
     def emit_push(self, value: str, next_addr: int, ind: int = 0):
         sp = self.temp("sp")
         esp = self.reg("esp")
-        self.regs_written.add("esp")
+        self.dirty.add("esp")
         self.emit(f"{sp} = ({esp} - 4) & {MASK32}", ind)
         self.emit(f"{esp} = {sp}", ind)
         self.mem_access(sp, 4, value, next_addr, ind)
 
     def emit_pop(self, next_addr: int, ind: int = 0) -> str:
         esp = self.reg("esp")
-        self.regs_written.add("esp")
+        self.dirty.add("esp")
         v = self.mem_access(esp, 4, None, next_addr, ind)
         self.emit(f"{esp} = ({esp} + 4) & {MASK32}", ind)
         return v
@@ -815,8 +894,7 @@ class _Emitter:
         if handler is None:
             handler = _handler_for(self.loaded, index)
         name = self.bake("H", handler)
-        self.spill()
-        self.emit(f"{name}(cpu)")
+        self.call_out(f"{name}(cpu)")
         if index in self.loaded.instrument:
             # hooks are arbitrary code: re-validate the world
             self.native_guard(next_addr)
@@ -844,6 +922,7 @@ class _Emitter:
                 self.pending = 0
         self.emit("charge(cat, acc)", ind)
         self.emit("acc = 0", ind)
+        self.backedge_dirty |= self.dirty
         self.emit("it -= 1", ind)
         self.emit("if it == 0:", ind)
         self.spill(ind + 1)
@@ -885,19 +964,29 @@ class _Emitter:
                 # trace body): exit and let the dispatcher continue
                 self.end_trace(str(loaded.addrs[index]))
                 break
+            addr = loaded.addrs[index]
+            if index != self.head_index and self.js.superblocks.get(addr):
+                # a head with its own superblock: the dispatcher enters
+                # that one rather than this trace copying its code
+                self.end_trace(str(addr))
+                break
             if self.n_instrs >= MAX_TRACE_INSTRS:
-                self.end_trace(str(loaded.addrs[index]))
+                # the rest of the path becomes a trace of its own
+                self.js.leaders.add(addr)
+                self.end_trace(str(addr))
                 break
             visited.add(index)
             mark = (len(self.lines), self.buf, self.pending,
-                    self.n_instrs, self.cur_eip, self.acc_dirty)
+                    self.n_instrs, self.cur_eip, self.acc_dirty,
+                    set(self.dirty), self.synced)
             try:
                 index = self.emit_instruction(index)
             except _Unsupported:
                 # roll back anything the rejected instruction emitted,
                 # then end the trace just before it
                 (n_lines, self.buf, self.pending, self.n_instrs,
-                 self.cur_eip, self.acc_dirty) = mark
+                 self.cur_eip, self.acc_dirty, self.dirty,
+                 self.synced) = mark
                 del self.lines[n_lines:]
                 if self.n_instrs == 0:
                     return None
@@ -907,19 +996,35 @@ class _Emitter:
             return None
         return self.render()
 
+    def spilled(self, site: int) -> List[str]:
+        """The registers store-back ``site`` writes: the ones dirty there,
+        plus, in a loop with no full store-back yet in the iteration,
+        the ones a back-edge left dirty."""
+        dirty, synced = self.spill_sites[site]
+        if self.has_backedge and not synced:
+            dirty = dirty | self.backedge_dirty
+        return sorted(dirty)
+
     def render(self) -> str:
         guarded = self.uses_natives or bool(self.ns)
         reload = self.reload_line()
         body = []
         for line in self.lines:
             text = line.lstrip()
-            if text == _SPILL:
-                pad = line[:len(line) - len(text)]
+            pad = line[:len(line) - len(text)]
+            spill = text.startswith("#spill") and _SPILL_LINE.match(text)
+            if spill:
                 body += [f"{pad}r['{name}'] = R_{name}"
-                         for name in sorted(self.regs_written)]
+                         for name in self.spilled(int(spill.group(1)))]
             elif text == _RELOAD:
                 if reload:
-                    body.append(line[:len(line) - len(text)] + reload)
+                    body.append(pad + reload)
+            elif "@S" in text:
+                body.append(_SPILL_DICT.sub(
+                    lambda m: "{" + ", ".join(
+                        f"'{name}': R_{name}"
+                        for name in self.spilled(int(m.group(1)))) + "}",
+                    line))
             else:
                 body.append(line)
         prologue = [
@@ -935,8 +1040,6 @@ class _Emitter:
             prologue += [
                 "rp = cpu.address_space.read_pages",
                 "wp = cpu.address_space.write_pages",
-                "rm = cpu.read_mem",
-                "wm = cpu.write_mem",
                 "hp = cpu.hot_pages",
             ]
         if guarded:
@@ -964,15 +1067,22 @@ class _Emitter:
 
 def compile_superblock(cpu, loaded, head_addr: int) -> Optional[Superblock]:
     """Compile the trace starting at ``head_addr``; None if the head's
-    first instruction is not compilable (the dispatcher blacklists it)."""
+    first instruction is not compilable (the dispatcher blacklists it).
+    Identical source reuses the cached code object; ``cpu.jit_compiles``
+    counts fresh ``compile()`` calls and ``cpu.jit_reuses`` the rest."""
     head_index = loaded.addr_to_index[head_addr]
     emitter = _Emitter(cpu, loaded, head_index)
     source = emitter.build()
     if source is None:
         return None
-    emitter.ns["L"] = loaded
-    emitter.ns.update(_MEM_HELPERS)
-    code = compile(source, f"<sb {loaded.name}@{head_addr:#x}>", "exec")
-    exec(code, emitter.ns)
-    return Superblock(emitter.ns["__sb__"], head_addr, cpu.cycle_scale,
-                      emitter.n_instrs, source)
+    code, fresh = _cached_code(source)
+    if fresh:
+        cpu.jit_compiles += 1
+    else:
+        cpu.jit_reuses += 1
+    ns = emitter.ns
+    ns["L"] = loaded
+    ns.update(_NAMESPACE)
+    exec(code, ns)
+    return Superblock(ns["__sb__"], head_addr, cpu.cycle_scale,
+                      emitter.n_instrs)

@@ -26,6 +26,9 @@ UNPACK = {1: Struct("<B").unpack_from, 2: Struct("<H").unpack_from,
           4: Struct("<I").unpack_from}
 PACK = {1: Struct("<B").pack_into, 2: Struct("<H").pack_into,
         4: Struct("<I").pack_into}
+#: per-byte hot-range mask of a page with no hot byte (the default of
+#: ``Cpu.hot_pages``): RAM accesses are priced by indexing a page's mask
+COLD_PAGE = bytes(PAGE_SIZE)
 
 
 class BusError(Exception):

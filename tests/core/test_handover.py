@@ -74,7 +74,6 @@ class TestSwapBinary:
 
     def test_swap_under_smp_multiqueue_jit(self):
         m, xen, twin, dev, nic = make_twin(vcpus=2, num_queues=2)
-        m.cpu.jit_enabled = True
         mgr = HandoverManager(twin)
         for _ in range(8):
             assert m.wire.inject(nic, rx_frame())
@@ -84,6 +83,7 @@ class TestSwapBinary:
             assert m.wire.inject(nic, rx_frame())
             assert dev.transmit(700)
         assert dev.rx_packets == 16 and m.wire.tx_count == 8
+        assert m.cpu.jit_stats()["entries"] > 0
 
     def test_traffic_arriving_mid_window_is_not_dropped(self):
         m, xen, twin, dev, nic = make_twin()

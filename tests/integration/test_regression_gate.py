@@ -8,6 +8,7 @@ honor per-metric overrides, and append one trajectory entry per run.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -143,8 +144,13 @@ class TestGate:
 
 
 class TestCommittedBaselines:
-    def test_gate_passes_against_committed_results(self):
-        # the repo's own results/baselines must agree at all times
-        out = run_check("--gate")
+    def test_gate_passes_against_committed_results(self, tmp_path):
+        # the repo's own results/baselines must agree at all times; the
+        # gate runs on a copy, because it appends to the trajectory in
+        # the directory it checks
+        results = tmp_path / "results"
+        shutil.copytree(REPO / "benchmarks" / "results", results)
+        out = run_check("--gate", str(results), "--baselines-dir",
+                        str(REPO / "benchmarks" / "baselines"))
         assert out.returncode == 0, out.stdout + out.stderr
         assert "PASS" in out.stdout

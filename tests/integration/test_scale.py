@@ -1,6 +1,7 @@
 """Scale config end-to-end: determinism at 64 guests, JIT under SMP."""
 
 from repro.configs import build_scale
+from repro.machine import interpreter_only
 
 
 def drive(sut, bursts_per_guest=1, burst=8):
@@ -69,15 +70,18 @@ class TestJitUnderSmp:
     def test_jit_parity_on_smp_scale_config(self):
         """The superblock world guard must re-check the running vCPU:
         with the scheduler interleaving guests across 4 vCPUs, simulated
-        cycles and packet outcomes stay identical with the JIT on."""
-        def run(jit):
-            sut = build_scale(n_guests=8, vcpus=4, num_queues=4,
-                              n_nics=2, jit=jit)
+        cycles and packet outcomes stay identical to the interpreter-only
+        reference."""
+        def run():
+            sut = build_scale(n_guests=8, vcpus=4, num_queues=4, n_nics=2)
             drive(sut, bursts_per_guest=2)
-            return outcome(sut)
+            return outcome(sut), sut.machine.cpu.jit_stats()["entries"]
 
-        off, on = run(jit=False), run(jit=True)
+        with interpreter_only():
+            off, off_entries = run()
+        on, on_entries = run()
         assert off == on
+        assert off_entries == 0 and on_entries > 0
 
     def test_world_token_bumps_only_on_vcpu_change(self):
         sut = build_scale(n_guests=4, vcpus=2, num_queues=2, n_nics=1)

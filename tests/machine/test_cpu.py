@@ -1,5 +1,7 @@
 """CPU interpreter: instruction semantics, flags, calls, natives, faults."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -467,8 +469,7 @@ class TestNativesAndFaults:
 
 def _machine(jit):
     m, space = make_machine()
-    m.cpu.jit_enabled = jit
-    m.cpu.jit_threshold = 2
+    m.cpu.jit_threshold = 2 if jit else math.inf
     return m, space
 
 

@@ -1,13 +1,16 @@
-"""Differential fuzzing: interpreter vs superblock JIT (ISSUE 8).
+"""Differential fuzzing: interpreter vs superblock JIT.
 
-Every generated program is run on two fresh machines — ``jit_enabled``
-off and on (threshold 1, so traces compile immediately) — over several
+Every generated program is run on two fresh machines — the
+interpreter-only reference (``jit_threshold = math.inf``) and the JIT at
+threshold 1, so traces compile immediately — over several
 invocations, and the complete observable state must be bit-identical:
 registers, flags, direction flag, ``executed``, every per-category
 cycle counter, and the data pages. Separate properties drive natives,
 native-raised exceptions (the upcall shape), and page faults through
 the middle of hot superblocks.
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,8 +104,7 @@ def _make_machine(jit):
     space.map_new_pages(DATA, 4)
     space.map_new_pages(0xC0100000, 4)
     m.cpu.address_space = space
-    m.cpu.jit_enabled = jit
-    m.cpu.jit_threshold = 1
+    m.cpu.jit_threshold = 1 if jit else math.inf
     return m, space
 
 
